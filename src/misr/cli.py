@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from .algebras import (
-    AlgebraFormatError,
     FiniteSemiring,
     builtin,
     BUILTIN_NAMES,
@@ -230,13 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (TermSyntaxError, AlgebraFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

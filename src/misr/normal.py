@@ -6,7 +6,9 @@ multiset of monomials.  Deleting a summand k whenever two other summands
 i, j satisfy I_i ∪ I_j ⊆ I_k (which forces I_i ⊆ I_k and I_j ⊆ I_k) is
 sound under the absorption law x+y+x*y*z = x+y, and the surviving reduced
 form is a unique normal form: two terms denote the same element of the
-free algebra exactly when their reduced forms coincide.
+free algebra exactly when their reduced forms coincide.  reduce_rep makes
+all the deletions in one pass over the summands in nondecreasing size;
+find_reducible locates a single deletion triple.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ def find_reducible(rep: SumOfProducts) -> tuple[int, int, int] | None:
     I_i ∪ I_j ⊆ I_k.  Deterministic strategy: k is the largest position
     participating in any such triple, i and j are the two smallest
     positions (other than k) whose monomials are contained in I_k.
+    Used by is_reduced and by enumerate_reduced; reduce_rep does not need it.
     """
     for k in range(len(rep) - 1, -1, -1):
         first = -1
@@ -76,15 +79,51 @@ def is_reduced(rep: SumOfProducts) -> bool:
 
 
 def reduce_rep(rep: SumOfProducts) -> SumOfProducts:
-    """Delete absorbable summands until none remain.
+    """Delete absorbable summands until none remain, in one pass.
 
-    The deletion order does not affect the result; the deterministic
-    strategy of find_reducible is used.
+    Summands are visited in nondecreasing size (stably, so copies in input
+    order), and one is kept iff fewer than two kept summands lie inside it.
+    A proper subset is smaller, so it is visited first; a deleted summand
+    is never needed as a witness, since whatever contains it contains its
+    two kept witnesses.  The result is the unique reduced form.  The
+    survivors keep their input order, and of several copies of a monomial
+    the first ones survive, as when the last absorbable position is deleted
+    again and again.
+
+    A summand is compared only with kept summands of strictly smaller size
+    and with a tally of its own kept copies, so an antichain of equal-size
+    summands costs linear time.
     """
-    items = list(rep)
-    while (triple := find_reducible(tuple(items))) is not None:
-        del items[triple[2]]
-    return tuple(items)
+    if len(rep) < 3:
+        return tuple(rep)
+    sizes = [len(mono) for mono in rep]
+    order = range(len(rep))
+    if sizes != sorted(sizes):
+        order = sorted(order, key=sizes.__getitem__)
+    smaller: list[Monomial] = []  # kept summands smaller than the current size
+    same: list[Monomial] = []  # kept summands of the current size
+    copies: dict[Monomial, int] = {}  # kept copies of each monomial
+    size = -1
+    kept: list[int] = []
+    for p in order:
+        mono = rep[p]
+        if sizes[p] != size:
+            smaller += same
+            same = []
+            size = sizes[p]
+        inside = tally = copies.get(mono, 0)
+        if inside < 2:
+            for other in smaller:
+                if other <= mono:
+                    inside += 1
+                    if inside == 2:
+                        break
+            else:
+                kept.append(p)
+                copies[mono] = tally + 1
+                same.append(mono)
+    kept.sort()
+    return tuple(map(rep.__getitem__, kept))
 
 
 def normalize(t: Term) -> SumOfProducts:

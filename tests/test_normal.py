@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from misr import (
     builtin,
@@ -120,6 +121,52 @@ def test_reduce_leaves_reduced_input_alone():
 
 def test_triple_occurrence_collapses_to_double():
     assert reduce_rep((m(1), m(1), m(1))) == (m(1), m(1))
+
+
+def fixpoint_reduce(rep):
+    # the deletion loop reduce_rep replaced, kept as its reference
+    items = list(rep)
+    while (triple := find_reducible(tuple(items))) is not None:
+        del items[triple[2]]
+    return tuple(items)
+
+
+@st.composite
+def summand_tuples(draw):
+    # arbitrary multisets of monomials, the empty one included, each drawn
+    # monomial repeated up to 4 times; half are left out of size order
+    monos = draw(st.lists(st.frozensets(st.integers(1, 5), max_size=5), max_size=8))
+    items = [mono for mono in monos for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        return tuple(sorted(items, key=monomial_key))
+    return tuple(draw(st.permutations(items)))
+
+
+@given(summand_tuples())
+@example((m(1), E, m(1), m(1)))
+def test_reduce_agrees_with_deletion_fixpoint(rep):
+    assert reduce_rep(rep) == fixpoint_reduce(rep)
+
+
+def test_reduce_keeps_antichain_of_1024_products():
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(10)]
+    rep = flatten(parse("*".join(f"(x{a}+x{b})" for a, b in pairs)))
+    assert sorted(rep, key=monomial_key) == sorted(
+        (frozenset(c) for c in itertools.product(*pairs)), key=monomial_key
+    )
+    assert reduce_rep(rep) == rep
+
+
+def test_reduce_product_of_units_to_linear_sum():
+    rep = flatten(parse("*".join(f"(1+x{i})" for i in range(1, 11))))
+    assert len(rep) == 1024
+    assert reduce_rep(rep) == (E,) + tuple(m(i) for i in range(1, 11))
+
+
+def test_reduce_64_copies_of_one_to_two():
+    rep = flatten(parse("((1+1)*((1+1)+(1+1)))*((1+1)*((1+1)+(1+1)))"))
+    assert rep == (E,) * 64
+    assert reduce_rep(rep) == (E, E)
 
 
 # --- normalize ---------------------------------------------------------------
