@@ -39,13 +39,11 @@ from .normal import (
 from .algebras import (
     ABSORPTION_LAW,
     AlgebraFormatError,
-    Assignment,
     AxiomCheck,
     AxiomReport,
     BOOLEAN_LAW,
     BUILTIN_NAMES,
     DOUBLE_PRODUCT_ABSORPTION,
-    FiniteLattice,
     FiniteSemiring,
     Identity,
     MUL_IDEMPOTENCE,
@@ -57,12 +55,10 @@ from .algebras import (
     eval_term,
     format_algebra,
     holds,
-    lattice_problems,
     load_algebra,
     lplus1,
     parse_algebra,
     parse_identity,
-    semiring_from_labels,
 )
 from .congruences import (
     Partition,
@@ -80,68 +76,3 @@ from .enumeration import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Add",
-    "Mul",
-    "One",
-    "ONE",
-    "Term",
-    "TermSyntaxError",
-    "Var",
-    "Zero",
-    "ZERO",
-    "parse",
-    "term_size",
-    "to_text",
-    "variables",
-    "Monomial",
-    "SumOfProducts",
-    "decide_equal",
-    "find_reducible",
-    "flatten",
-    "is_reduced",
-    "monomial_key",
-    "monomial_leq",
-    "normalize",
-    "reduce_rep",
-    "rep_text",
-    "to_term",
-    "ABSORPTION_LAW",
-    "AlgebraFormatError",
-    "Assignment",
-    "AxiomCheck",
-    "AxiomReport",
-    "BOOLEAN_LAW",
-    "BUILTIN_NAMES",
-    "DOUBLE_PRODUCT_ABSORPTION",
-    "FiniteLattice",
-    "FiniteSemiring",
-    "Identity",
-    "MUL_IDEMPOTENCE",
-    "PRODUCT_ABSORPTION",
-    "boolean_lattice",
-    "builtin",
-    "check_axioms",
-    "direct_product",
-    "eval_term",
-    "format_algebra",
-    "holds",
-    "lattice_problems",
-    "load_algebra",
-    "lplus1",
-    "parse_algebra",
-    "parse_identity",
-    "semiring_from_labels",
-    "Partition",
-    "is_congruence",
-    "is_subdirectly_irreducible",
-    "principal_congruence",
-    "DEFAULT_ARITY_CAP",
-    "FreeSpectrumEntry",
-    "clone_count",
-    "enumerate_reduced",
-    "free_spectrum",
-    "monomials_over",
-    "__version__",
-]

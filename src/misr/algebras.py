@@ -1,16 +1,21 @@
-"""Finite semirings and lattices given by Cayley tables.
+"""Finite semirings given by Cayley tables.
 
 Tables are tuples of tuples of element indices; labels are only for I/O.
 Construction is lazy about axioms: any well-shaped table pair is accepted
 (gf3 is a perfectly good semiring that fails multiplicative idempotence),
-and check_axioms reports which laws actually hold.
+and check_axioms reports which laws actually hold.  A bounded distributive
+lattice is a semiring too, with + as join, * as meet, 0 as bottom and 1 as
+top: boolean_lattice builds the subset lattices so, and lplus1 adjoins a
+new unit to one.  The builtins are read from the files in data/, which
+are in the format of format_algebra and parse_algebra.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .terms import Add, Mul, One, Term, Var, Zero, parse, variables
 
@@ -49,9 +54,6 @@ class FiniteSemiring:
     def times(self, i: int, j: int) -> int:
         return self.mul[i][j]
 
-    def label(self, i: int) -> str:
-        return self.elements[i]
-
     def index(self, label: str) -> int:
         try:
             return self.elements.index(label)
@@ -61,122 +63,9 @@ class FiniteSemiring:
             ) from None
 
 
-def _tables_from_labels(
-    elements: Sequence[str], rows: Sequence[Sequence[str]]
-) -> tuple[tuple[int, ...], ...]:
-    index = {lab: i for i, lab in enumerate(elements)}
-    return tuple(tuple(index[lab] for lab in row) for row in rows)
-
-
-def semiring_from_labels(
-    name: str,
-    elements: Sequence[str],
-    add_rows: Sequence[Sequence[str]],
-    mul_rows: Sequence[Sequence[str]],
-    zero: str,
-    one: str,
-) -> FiniteSemiring:
-    """Build a FiniteSemiring from label-level tables."""
-    elements = tuple(elements)
-    index = {lab: i for i, lab in enumerate(elements)}
-    for rows, what in ((add_rows, "add"), (mul_rows, "mul")):
-        for row in rows:
-            for lab in row:
-                if lab not in index:
-                    raise ValueError(f"unknown label {lab!r} in {what} table")
-    return FiniteSemiring(
-        name,
-        elements,
-        _tables_from_labels(elements, add_rows),
-        _tables_from_labels(elements, mul_rows),
-        index[zero],
-        index[one],
-    )
-
-
-# --- builtins ---------------------------------------------------------------
-
-def _t3() -> FiniteSemiring:
-    # three-element chain 0 < a < 1 where 1+1 = a and a is additively absorbing
-    return semiring_from_labels(
-        "t3",
-        ("0", "a", "1"),
-        (("0", "a", "1"), ("a", "a", "a"), ("1", "a", "a")),
-        (("0", "0", "0"), ("0", "a", "a"), ("0", "a", "1")),
-        "0",
-        "1",
-    )
-
-
-def _s3() -> FiniteSemiring:
-    # same carrier as t3 but with idempotent unit: 1+1 = 1
-    return semiring_from_labels(
-        "s3",
-        ("0", "a", "1"),
-        (("0", "a", "1"), ("a", "a", "a"), ("1", "a", "1")),
-        (("0", "0", "0"), ("0", "a", "a"), ("0", "a", "1")),
-        "0",
-        "1",
-    )
-
-
-def _two() -> FiniteSemiring:
-    # two-element bounded lattice: + is join, * is meet
-    return semiring_from_labels(
-        "two",
-        ("0", "1"),
-        (("0", "1"), ("1", "1")),
-        (("0", "0"), ("0", "1")),
-        "0",
-        "1",
-    )
-
-
-def _gf2() -> FiniteSemiring:
-    return semiring_from_labels(
-        "gf2",
-        ("0", "1"),
-        (("0", "1"), ("1", "0")),
-        (("0", "0"), ("0", "1")),
-        "0",
-        "1",
-    )
-
-
-def _gf3() -> FiniteSemiring:
-    return semiring_from_labels(
-        "gf3",
-        ("0", "1", "2"),
-        (("0", "1", "2"), ("1", "2", "0"), ("2", "0", "1")),
-        (("0", "0", "0"), ("0", "1", "2"), ("0", "2", "1")),
-        "0",
-        "1",
-    )
-
-
-_BUILTINS: dict[str, FiniteSemiring] = {
-    a.name: a for a in (_t3(), _s3(), _two(), _gf2(), _gf3())
-}
-
-BUILTIN_NAMES: tuple[str, ...] = tuple(sorted(_BUILTINS))
-
-
-def builtin(name: str) -> FiniteSemiring:
-    """Look up one of the stock algebras: gf2, gf3, s3, t3, two."""
-    try:
-        return _BUILTINS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown builtin algebra {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
-        ) from None
-
-
 # --- evaluation and identities ----------------------------------------------
 
-Assignment = Mapping[int, int]
-
-
-def eval_term(alg: FiniteSemiring, t: Term, env: Assignment) -> int:
+def eval_term(alg: FiniteSemiring, t: Term, env: Mapping[int, int]) -> int:
     """Evaluate t under env (variable index -> element index)."""
     match t:
         case Zero():
@@ -228,39 +117,38 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     return True, None
 
 
-BOOLEAN_LAW = Identity(parse("1+x+x"), parse("1"), "boolean-law")
-PRODUCT_ABSORPTION = Identity(parse("1+x+x*y"), parse("1+x"), "product-absorption")
-ABSORPTION_LAW = Identity(parse("x+y+x*y*z"), parse("x+y"), "absorption-law")
-DOUBLE_PRODUCT_ABSORPTION = Identity(
-    parse("1+x+x*y+x*y"), parse("1+x"), "double-product-absorption"
+PRODUCT_ABSORPTION = parse_identity("1+x+x*y = 1+x", "product-absorption")
+DOUBLE_PRODUCT_ABSORPTION = parse_identity(
+    "1+x+x*y+x*y = 1+x", "double-product-absorption"
 )
-MUL_IDEMPOTENCE = Identity(parse("x*x"), parse("x"), "mul-idempotent")
+MUL_IDEMPOTENCE = parse_identity("x*x = x", "mul-idempotent")
+BOOLEAN_LAW = parse_identity("1+x+x = 1", "boolean-law")
+ABSORPTION_LAW = parse_identity("x+y+x*y*z = x+y", "absorption-law")
 
 
 # --- axiom report -----------------------------------------------------------
 
-_SEMIRING_AXIOMS: tuple[tuple[str, str, str], ...] = (
-    ("add-commutative", "x+y", "y+x"),
-    ("add-associative", "(x+y)+z", "x+(y+z)"),
-    ("zero-add-left", "0+x", "x"),
-    ("zero-add-right", "x+0", "x"),
-    ("mul-associative", "(x*y)*z", "x*(y*z)"),
-    ("one-mul-left", "1*x", "x"),
-    ("one-mul-right", "x*1", "x"),
-    ("distributive-left", "x*(y+z)", "x*y+x*z"),
-    ("distributive-right", "(y+z)*x", "y*x+z*x"),
-    ("zero-mul-left", "0*x", "0"),
-    ("zero-mul-right", "x*0", "0"),
+_SEMIRING_AXIOMS: tuple[Identity, ...] = (
+    parse_identity("x+y = y+x", "add-commutative"),
+    parse_identity("(x+y)+z = x+(y+z)", "add-associative"),
+    parse_identity("0+x = x", "zero-add-left"),
+    parse_identity("x+0 = x", "zero-add-right"),
+    parse_identity("(x*y)*z = x*(y*z)", "mul-associative"),
+    parse_identity("1*x = x", "one-mul-left"),
+    parse_identity("x*1 = x", "one-mul-right"),
+    parse_identity("x*(y+z) = x*y+x*z", "distributive-left"),
+    parse_identity("(y+z)*x = y*x+z*x", "distributive-right"),
+    parse_identity("0*x = 0", "zero-mul-left"),
+    parse_identity("x*0 = 0", "zero-mul-right"),
 )
 
-_FLAG_AXIOMS: tuple[tuple[str, str, str], ...] = (
-    ("mul-commutative", "x*y", "y*x"),
-    ("mul-idempotent", "x*x", "x"),
-    ("boolean-law", "1+x+x", "1"),
-    ("absorption-law", "x+y+x*y*z", "x+y"),
+# in the order of check_axioms' report, which `misr axioms` prints
+_AXIOMS: tuple[Identity, ...] = _SEMIRING_AXIOMS + (
+    parse_identity("x*y = y*x", "mul-commutative"),
+    MUL_IDEMPOTENCE,
+    BOOLEAN_LAW,
+    ABSORPTION_LAW,
 )
-
-_SEMIRING_AXIOM_NAMES = tuple(name for name, _, _ in _SEMIRING_AXIOMS)
 
 
 @dataclass(frozen=True)
@@ -286,7 +174,7 @@ class AxiomReport:
 
     @property
     def is_semiring(self) -> bool:
-        return all(self.ok(name) for name in _SEMIRING_AXIOM_NAMES)
+        return all(self.ok(axiom.name) for axiom in _SEMIRING_AXIOMS)
 
     @property
     def is_commutative_idempotent(self) -> bool:
@@ -309,76 +197,54 @@ def check_axioms(alg: FiniteSemiring) -> AxiomReport:
     """Check every semiring axiom plus the commutativity, idempotence,
     boolean, and absorption laws, each with its least counterexample."""
     checks = []
-    for name, lhs, rhs in _SEMIRING_AXIOMS + _FLAG_AXIOMS:
-        ok, env = holds(alg, Identity(parse(lhs), parse(rhs), name))
+    for axiom in _AXIOMS:
+        ok, env = holds(alg, axiom)
         witness = None if env is None else tuple(sorted(env.items()))
-        checks.append(AxiomCheck(name, ok, witness))
+        checks.append(AxiomCheck(axiom.name, ok, witness))
     return AxiomReport(alg.name, tuple(checks))
 
 
 # --- lattices and constructions ---------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteLattice:
-    name: str
-    elements: tuple[str, ...]
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
+def _lattice_problem(lat: FiniteSemiring) -> str | None:
+    """The first bounded distributive lattice law that lat breaks, reading
+    + as join, * as meet, 0 as bottom and 1 as top; None if it breaks none.
 
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-def lattice_problems(lat: FiniteLattice) -> list[str]:
-    """Exhaustively check the bounded distributive lattice laws; empty = valid."""
-    n = lat.size
-    problems = []
-    for table, what in ((lat.join, "join"), (lat.meet, "meet")):
-        if len(table) != n or any(len(row) != n for row in table):
-            return [f"{what} table must be {n}x{n}"]
-        if any(not 0 <= v < n for row in table for v in row):
-            return [f"{what} table entry out of range"]
-    jn, mt = lat.join, lat.meet
-    rng = range(n)
+    A direct scan of the tables: the same laws through holds would cost two
+    orders of magnitude more on boolean_lattice(4).
+    """
+    jn, mt, el = lat.add, lat.mul, lat.elements
+    rng = range(lat.size)
     for x in rng:
         if jn[x][x] != x or mt[x][x] != x:
-            problems.append(f"idempotence fails at {lat.elements[x]}")
-        if jn[lat.bottom][x] != x:
-            problems.append(f"bottom is not neutral for join at {lat.elements[x]}")
-        if mt[lat.top][x] != x:
-            problems.append(f"top is not neutral for meet at {lat.elements[x]}")
+            return f"idempotence fails at {el[x]}"
+        if jn[lat.zero][x] != x:
+            return f"bottom is not neutral for join at {el[x]}"
+        if mt[lat.one][x] != x:
+            return f"top is not neutral for meet at {el[x]}"
     for x in rng:
         for y in rng:
             if jn[x][y] != jn[y][x]:
-                problems.append("join is not commutative")
+                return "join is not commutative"
             if mt[x][y] != mt[y][x]:
-                problems.append("meet is not commutative")
+                return "meet is not commutative"
             if jn[x][mt[x][y]] != x or mt[x][jn[x][y]] != x:
-                problems.append("absorption fails")
+                return "absorption fails"
     for x in rng:
         for y in rng:
             for z in rng:
                 if jn[jn[x][y]][z] != jn[x][jn[y][z]]:
-                    problems.append("join is not associative")
+                    return "join is not associative"
                 if mt[mt[x][y]][z] != mt[x][mt[y][z]]:
-                    problems.append("meet is not associative")
+                    return "meet is not associative"
                 if mt[x][jn[y][z]] != jn[mt[x][y]][mt[x][z]]:
-                    problems.append("distributivity fails")
-    # deduplicate, keep first occurrences in order
-    seen: set[str] = set()
-    out = []
-    for p in problems:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+                    return "distributivity fails"
+    return None
 
 
-def boolean_lattice(k: int) -> FiniteLattice:
-    """The lattice of subsets of {1..k}, 1 <= k <= 4.
+def boolean_lattice(k: int) -> FiniteSemiring:
+    """The lattice of subsets of {1..k}, 1 <= k <= 4, as a semiring:
+    + is union, * is intersection, 0 is the empty set and 1 the full set.
 
     Elements are sorted by (cardinality, lexicographic) and labeled "0" for
     the empty set, "a" for the full set, and "e<digits>" in between, so that
@@ -411,7 +277,7 @@ def boolean_lattice(k: int) -> FiniteLattice:
     meet = tuple(
         tuple(index[subsets[i] & subsets[j]] for j in range(n)) for i in range(n)
     )
-    return FiniteLattice(
+    return FiniteSemiring(
         f"b{k}",
         tuple(label(s) for s in subsets),
         join,
@@ -421,40 +287,40 @@ def boolean_lattice(k: int) -> FiniteLattice:
     )
 
 
-def lplus1(lat: FiniteLattice) -> FiniteSemiring:
+def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
     """Adjoin a fresh multiplicative unit to a non-trivial bounded
-    distributive lattice.
+    distributive lattice, given as a semiring with + as join, * as meet,
+    0 as bottom and 1 as top.
 
     On the old carrier + is join and * is meet.  The new unit 1 is neutral
     for *; additively, 0+1 = 1 and every other sum involving 1 collapses to
     the lattice top.  The result always satisfies the absorption law but
     (since 1+1 = top != 1) never the boolean law.
     """
-    problems = lattice_problems(lat)
-    if problems:
-        raise ValueError(f"not a bounded distributive lattice: {problems[0]}")
+    problem = _lattice_problem(lat)
+    if problem is not None:
+        raise ValueError(f"not a bounded distributive lattice: {problem}")
     if lat.size < 2:
         raise ValueError("trivial lattice rejected: need at least two elements")
     if "1" in lat.elements:
         raise ValueError("lattice already uses the label '1' reserved for the new unit")
-    n = lat.size
-    unit = n
-    top = lat.top
-    bottom = lat.bottom
+    unit = lat.size
+    top = lat.one
+    bottom = lat.zero
 
     def add(x: int, y: int) -> int:
         if x != unit and y != unit:
-            return lat.join[x][y]
+            return lat.add[x][y]
         if (x, y) in ((bottom, unit), (unit, bottom)):
             return unit
         return top
 
     def mul(x: int, y: int) -> int:
         if x != unit and y != unit:
-            return lat.meet[x][y]
+            return lat.mul[x][y]
         return y if x == unit else x
 
-    size = n + 1
+    size = unit + 1
     return FiniteSemiring(
         f"{lat.name}+1",
         lat.elements + ("1",),
@@ -573,3 +439,23 @@ def parse_algebra(text: str) -> FiniteSemiring:
 def load_algebra(path: str) -> FiniteSemiring:
     with open(path, "r", encoding="ascii") as fh:
         return parse_algebra(fh.read())
+
+
+# --- builtins ---------------------------------------------------------------
+
+BUILTIN_NAMES: tuple[str, ...] = ("gf2", "gf3", "s3", "t3", "two")
+
+_BUILTINS: dict[str, FiniteSemiring] = {
+    name: load_algebra(os.path.join(os.path.dirname(__file__), "data", f"{name}.alg"))
+    for name in BUILTIN_NAMES
+}
+
+
+def builtin(name: str) -> FiniteSemiring:
+    """Look up one of the stock algebras, read from data/<name>.alg."""
+    try:
+        return _BUILTINS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown builtin algebra {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
+        ) from None

@@ -30,9 +30,9 @@ class Partition:
 
     @staticmethod
     def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        canon = sorted(tuple(sorted(set(b))) for b in blocks if tuple(b))
+        canon = sorted(c for c in (tuple(sorted(set(b))) for b in blocks) if c)
         seen = [x for b in canon for x in b]
-        if sorted(seen) != list(range(size)) or len(seen) != size:
+        if sorted(seen) != list(range(size)):
             raise ValueError("blocks do not partition the carrier")
         return Partition(size, tuple(canon))
 
@@ -75,10 +75,6 @@ class Partition:
     @property
     def is_discrete(self) -> bool:
         return len(self.blocks) == self.size
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.blocks) == 1
 
     def render(self, labels: Sequence[str]) -> str:
         """Blocks as "{0},{a,1}" using the given element labels."""

@@ -164,18 +164,3 @@ def decide_equal(t: Term, u: Term) -> bool:
     """Word problem: do t and u denote the same element of the free algebra?"""
     return normalize(t) == normalize(u)
 
-
-__all__ = [
-    "Monomial",
-    "SumOfProducts",
-    "monomial_key",
-    "monomial_leq",
-    "flatten",
-    "find_reducible",
-    "is_reduced",
-    "reduce_rep",
-    "normalize",
-    "to_term",
-    "rep_text",
-    "decide_equal",
-]

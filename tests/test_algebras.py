@@ -12,7 +12,6 @@ from misr import (
     BOOLEAN_LAW,
     BUILTIN_NAMES,
     DOUBLE_PRODUCT_ABSORPTION,
-    FiniteLattice,
     FiniteSemiring,
     Identity,
     PRODUCT_ABSORPTION,
@@ -23,13 +22,12 @@ from misr import (
     eval_term,
     format_algebra,
     holds,
-    lattice_problems,
     lplus1,
     parse,
     parse_algebra,
     parse_identity,
 )
-from support import random_term
+from support import T3_ADD, T3_LABELS, T3_MUL, random_term
 
 T3 = builtin("t3")
 S3 = builtin("s3")
@@ -54,6 +52,15 @@ def test_t3_tables():
     assert T3.times(a, a) == a
     assert T3.plus(T3.zero, one) == one
     assert T3.elements == ("0", "a", "1")
+
+
+def test_t3_matches_independent_tables():
+    assert T3.elements == T3_LABELS
+    assert (T3.elements[T3.zero], T3.elements[T3.one]) == ("0", "1")
+    for x, y in itertools.product(range(3), repeat=2):
+        pair = (T3.elements[x], T3.elements[y])
+        assert T3.elements[T3.add[x][y]] == T3_ADD[pair]
+        assert T3.elements[T3.mul[x][y]] == T3_MUL[pair]
 
 
 def test_s3_differs_from_t3_only_at_unit_sum():
@@ -203,10 +210,10 @@ def test_s3_is_commutative_idempotent_but_not_absorptive():
 def test_boolean_lattice_shapes():
     b1 = boolean_lattice(1)
     assert b1.elements == ("0", "a")
-    assert lattice_problems(b1) == []
+    assert all(c.ok for c in check_axioms(b1).checks)
     b2 = boolean_lattice(2)
     assert b2.elements == ("0", "e1", "e2", "a")
-    assert lattice_problems(b2) == []
+    assert all(c.ok for c in check_axioms(b2).checks)
     for k in (0, 5):
         with pytest.raises(ValueError):
             boolean_lattice(k)
@@ -241,18 +248,135 @@ def test_lplus1_is_always_absorptive_never_boolean(k):
 
 
 def test_lplus1_rejects_trivial_lattice():
-    trivial = FiniteLattice("one", ("0",), ((0,),), ((0,),), 0, 0)
+    trivial = FiniteSemiring("one", ("0",), ((0,),), ((0,),), 0, 0)
     with pytest.raises(ValueError, match="trivial"):
         lplus1(trivial)
 
 
 def test_lplus1_rejects_broken_lattice():
-    bad = FiniteLattice(
+    bad = FiniteSemiring(
         "bad", ("0", "a"), ((0, 1), (1, 1)), ((0, 1), (0, 1)), 0, 1
     )
-    assert lattice_problems(bad)
     with pytest.raises(ValueError, match="lattice"):
         lplus1(bad)
+
+
+# A bounded distributive lattice, read with + as join and * as meet, is
+# exactly a commutative multiplicatively idempotent semiring with x+x*y = x.
+LATTICE_ABSORPTION = parse_identity("x+x*y = x")
+
+
+def is_lattice_by_laws(alg):
+    report = check_axioms(alg)
+    return report.is_commutative_idempotent and holds(alg, LATTICE_ABSORPTION)[0]
+
+
+def lplus1_accepts(alg):
+    try:
+        lplus1(alg)
+    except ValueError as exc:
+        assert "not a bounded distributive lattice" in str(exc)
+        return False
+    return True
+
+
+def test_lplus1_rejects_semiring_that_is_not_a_lattice():
+    # {0 < e < 1}: + is max and e*e = 0.  A commutative semiring with
+    # x+x*y = x (so x+x = x), but x*x = x fails at e: not a lattice.
+    e3 = FiniteSemiring(
+        "e3",
+        ("0", "e", "1"),
+        ((0, 1, 2), (1, 1, 2), (2, 2, 2)),
+        ((0, 0, 0), (0, 0, 1), (0, 1, 2)),
+        0,
+        2,
+    )
+    report = check_axioms(e3)
+    assert report.is_semiring and report.ok("mul-commutative")
+    assert holds(e3, LATTICE_ABSORPTION)[0]
+    assert not report.ok("mul-idempotent")
+    with pytest.raises(ValueError, match="idempotence fails at e"):
+        lplus1(e3)
+
+
+def test_lplus1_agrees_with_laws_on_all_two_element_tables():
+    tables = [
+        (row0, row1)
+        for row0 in itertools.product(range(2), repeat=2)
+        for row1 in itertools.product(range(2), repeat=2)
+    ]
+    accepted = 0
+    for add, mul in itertools.product(tables, repeat=2):
+        for zero, one in itertools.product(range(2), repeat=2):
+            alg = FiniteSemiring("m", ("0", "a"), add, mul, zero, one)
+            verdict = lplus1_accepts(alg)
+            assert verdict == is_lattice_by_laws(alg), (add, mul, zero, one)
+            accepted += verdict
+    # the two-element chain, with either element as bottom
+    assert accepted == 2
+
+
+def test_lplus1_agrees_with_laws_on_mutants_of_b2():
+    b2 = boolean_lattice(2)
+    assert lplus1_accepts(b2) and is_lattice_by_laws(b2)
+    n = b2.size
+    for which, x, y, v in itertools.product((0, 1), range(n), range(n), range(n)):
+        tables = [list(map(list, b2.add)), list(map(list, b2.mul))]
+        if tables[which][x][y] == v:
+            continue
+        tables[which][x][y] = v
+        add, mul = (tuple(map(tuple, t)) for t in tables)
+        alg = FiniteSemiring("m", b2.elements, add, mul, b2.zero, b2.one)
+        assert not lplus1_accepts(alg)
+        assert not is_lattice_by_laws(alg)
+
+
+def lattice_from_order(name, labels, less):
+    """The lattice on labels ordered by the strict pairs in less (given
+    transitively closed); the first label is bottom, the last top."""
+    n = len(labels)
+    leq = {
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if x == y or (labels[x], labels[y]) in less
+    }
+
+    def least(cands, order):
+        return next(z for z in cands if all(order(z, w) for w in cands))
+
+    def join(x, y):
+        ups = [z for z in range(n) if (x, z) in leq and (y, z) in leq]
+        return least(ups, lambda z, w: (z, w) in leq)
+
+    def meet(x, y):
+        downs = [z for z in range(n) if (z, x) in leq and (z, y) in leq]
+        return least(downs, lambda z, w: (w, z) in leq)
+
+    rng = range(n)
+    return FiniteSemiring(
+        name,
+        labels,
+        tuple(tuple(join(x, y) for y in rng) for x in rng),
+        tuple(tuple(meet(x, y) for y in rng) for x in rng),
+        0,
+        n - 1,
+    )
+
+
+def test_lplus1_rejects_non_distributive_lattices():
+    labels = ("0", "e1", "e2", "a")
+    square = {("0", "e1"), ("0", "e2"), ("0", "a"), ("e1", "a"), ("e2", "a")}
+    b2 = lattice_from_order("b2", labels, square)
+    assert (b2.add, b2.mul) == (boolean_lattice(2).add, boolean_lattice(2).mul)
+    labels = ("0", "p", "q", "r", "a")
+    bounds = {("0", x) for x in labels[1:]} | {(x, "a") for x in labels[1:4]}
+    for name, less in (("m3", bounds), ("n5", bounds | {("p", "q")})):
+        lat = lattice_from_order(name, labels, less)
+        assert not is_lattice_by_laws(lat)
+        assert not check_axioms(lat).ok("distributive-left")
+        with pytest.raises(ValueError, match="distributivity fails"):
+            lplus1(lat)
 
 
 # --- products ----------------------------------------------------------------

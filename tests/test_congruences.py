@@ -37,6 +37,12 @@ def test_partition_canonical_form():
     assert Partition.from_blocks(4, [[1, 3], [2], [0]]) == p
 
 
+def test_partition_from_iterator_blocks():
+    p = Partition.from_blocks(3, (iter([0, 1]), iter([2])))
+    assert p.blocks == ((0, 1), (2,))
+    assert Partition.from_blocks(3, (iter([2]), iter([]), iter([1, 0]))) == p
+
+
 def test_partition_must_cover_carrier():
     with pytest.raises(ValueError):
         Partition.from_blocks(3, [[0, 1]])
