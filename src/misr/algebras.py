@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
-from .terms import Add, Mul, One, Term, Var, Zero, parse, variables
+from .terms import ONE, ZERO, Add, Mul, One, Term, Var, Zero, parse, variables
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,74 @@ def parse_identity(text: str, name: str = "") -> Identity:
     return Identity(parse(parts[0]), parse(parts[1]), name)
 
 
+# Most points one block of holds sweeps.  Blocks keep the masks short: one
+# sweep over all 17^4 points of lplus1(boolean_lattice(4)) would hold 17
+# masks of 83 521 bits per node.
+_BLOCK_POINTS = 4096
+
+
 def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | None]:
     """Check an identity over all assignments.
 
     Returns (True, None) or (False, witness) where the witness is the
     lexicographically first counterexample in element-index order, variables
     ascending.
+
+    The assignments are visited in itertools.product order, a block at a
+    time: the leading variables are fixed within a block and the trailing
+    ones swept.  Each side is evaluated on a whole block at once as a list
+    of bitmasks, one per element, in which bit p is set when the side
+    equals that element at the block's p-th point.
     """
     vs = ident.variable_list()
-    for values in itertools.product(range(alg.size), repeat=len(vs)):
-        env = dict(zip(vs, values))
-        if eval_term(alg, ident.lhs, env) != eval_term(alg, ident.rhs, env):
-            return False, env
+    k, n = alg.size, len(vs)
+    # both sides as (table, left, right) instructions over slots: 0..n-1
+    # hold the variables in vs order, n and n+1 hold 0 and 1, and each
+    # instruction fills the next slot
+    leaf = {Var(v): s for s, v in enumerate(vs)} | {ZERO: n, ONE: n + 1}
+    code: list[tuple[tuple[tuple[int, ...], ...], int, int]] = []
+
+    def compile_slot(t: Term) -> int:
+        if isinstance(t, (Add, Mul)):
+            table = alg.add if isinstance(t, Add) else alg.mul
+            code.append((table, compile_slot(t.left), compile_slot(t.right)))
+            return n + 1 + len(code)
+        return leaf[t]
+
+    lhs, rhs = compile_slot(ident.lhs), compile_slot(ident.rhs)
+    swept = 1 if n else 0
+    while swept < n and k ** (swept + 1) <= _BLOCK_POINTS:
+        swept += 1
+    full = (1 << k**swept) - 1
+    # the masks of a value that is element v at every point of the block
+    constant = [[full if e == v else 0 for e in range(k)] for v in range(k)]
+    # the swept variable at position t is v on runs of k**(swept-1-t)
+    # points, repeated with period k times that
+    runs = [k ** (swept - 1 - t) for t in range(swept)]
+    sweep = []
+    for run in runs:
+        repeat = full // ((1 << (k * run)) - 1)  # a 1 every k*run bits
+        sweep.append([(((1 << run) - 1) << (v * run)) * repeat for v in range(k)])
+    for head in itertools.product(range(k), repeat=n - swept):
+        slots = [constant[v] for v in head] + sweep
+        slots += (constant[alg.zero], constant[alg.one])
+        for table, left, right in code:
+            rs = [(b, mb) for b, mb in enumerate(slots[right]) if mb]
+            out = [0] * k
+            for a, ma in enumerate(slots[left]):
+                if ma:
+                    row = table[a]
+                    for b, mb in rs:
+                        m = ma & mb
+                        if m:
+                            out[row[b]] |= m
+            slots.append(out)
+        diff = 0
+        for ml, mr in zip(slots[lhs], slots[rhs]):
+            diff |= ml ^ mr
+        if diff:
+            p = (diff & -diff).bit_length() - 1
+            return False, dict(zip(vs, head + tuple(p // run % k for run in runs)))
     return True, None
 
 
@@ -290,7 +346,8 @@ def boolean_lattice(k: int) -> FiniteSemiring:
 def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
     """Adjoin a fresh multiplicative unit to a non-trivial bounded
     distributive lattice, given as a semiring with + as join, * as meet,
-    0 as bottom and 1 as top.
+    0 as bottom and 1 as top.  The label 1 goes to the new unit, so a top
+    labelled 1 is relabelled a when no element has that label already.
 
     On the old carrier + is join and * is meet.  The new unit 1 is neutral
     for *; additively, 0+1 = 1 and every other sum involving 1 collapses to
@@ -302,8 +359,11 @@ def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
         raise ValueError(f"not a bounded distributive lattice: {problem}")
     if lat.size < 2:
         raise ValueError("trivial lattice rejected: need at least two elements")
-    if "1" in lat.elements:
-        raise ValueError("lattice already uses the label '1' reserved for the new unit")
+    elements = lat.elements
+    if "1" in elements:
+        if elements[lat.one] != "1" or "a" in elements:
+            raise ValueError("lattice already uses the label '1' reserved for the new unit")
+        elements = elements[: lat.one] + ("a",) + elements[lat.one + 1 :]
     unit = lat.size
     top = lat.one
     bottom = lat.zero
@@ -323,7 +383,7 @@ def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
     size = unit + 1
     return FiniteSemiring(
         f"{lat.name}+1",
-        lat.elements + ("1",),
+        elements + ("1",),
         tuple(tuple(add(x, y) for y in range(size)) for x in range(size)),
         tuple(tuple(mul(x, y) for y in range(size)) for x in range(size)),
         bottom,

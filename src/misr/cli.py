@@ -46,7 +46,13 @@ def _resolve_algebra(spec: str) -> FiniteSemiring:
     """Builtin names win; anything else is a file path."""
     if spec in BUILTIN_NAMES:
         return builtin(spec)
-    return load_algebra(spec)
+    try:
+        return load_algebra(spec)
+    except FileNotFoundError:
+        raise ValueError(
+            f"no builtin algebra or file named {spec!r}; "
+            f"the builtins are {', '.join(BUILTIN_NAMES)}"
+        ) from None
 
 
 def _parse_assignment(text: str, alg: FiniteSemiring) -> dict[int, int]:

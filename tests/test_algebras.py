@@ -6,15 +6,21 @@ from random import Random
 
 import pytest
 
+import misr.algebras
 from misr import (
     ABSORPTION_LAW,
+    Add,
     AlgebraFormatError,
     BOOLEAN_LAW,
     BUILTIN_NAMES,
     DOUBLE_PRODUCT_ABSORPTION,
     FiniteSemiring,
     Identity,
+    Mul,
+    ONE,
     PRODUCT_ABSORPTION,
+    Var,
+    ZERO,
     boolean_lattice,
     builtin,
     check_axioms,
@@ -27,7 +33,7 @@ from misr import (
     parse_algebra,
     parse_identity,
 )
-from support import T3_ADD, T3_LABELS, T3_MUL, random_term
+from support import T3_ADD, T3_LABELS, T3_MUL, eval_labels, random_term
 
 T3 = builtin("t3")
 S3 = builtin("s3")
@@ -169,6 +175,80 @@ def test_closed_identity():
     assert env == {}
 
 
+def test_holds_finds_the_last_point_across_blocks():
+    # the only counterexample is all variables 1, the last of the 3^9 points,
+    # which lies in the last of several blocks
+    product = "*".join(f"x{i}" for i in range(1, 10))
+    ok, env = holds(T3, parse_identity(f"{product} = {product}*(x1+x1)"))
+    assert not ok
+    assert env == {i: T3.index("1") for i in range(1, 10)}
+
+
+def holds_by_labels(alg, ident):
+    """Pointwise reference for holds over label-keyed copies of alg's
+    tables, evaluated by support.eval_labels."""
+    els = alg.elements
+    pairs = list(itertools.product(range(alg.size), repeat=2))
+    add = {(els[a], els[b]): els[alg.add[a][b]] for a, b in pairs}
+    mul = {(els[a], els[b]): els[alg.mul[a][b]] for a, b in pairs}
+    zero, one = els[alg.zero], els[alg.one]
+    vs = ident.variable_list()
+    for point in itertools.product(els, repeat=len(vs)):
+        env = dict(zip(vs, point))
+        if eval_labels(ident.lhs, env, add, mul, zero, one) != eval_labels(
+            ident.rhs, env, add, mul, zero, one
+        ):
+            return False, {v: els.index(label) for v, label in env.items()}
+    return True, None
+
+
+def commuted(rng, t):
+    """t with the children of random nodes swapped: equal to t in every
+    commutative semiring."""
+    if isinstance(t, (Add, Mul)):
+        left, right = commuted(rng, t.left), commuted(rng, t.right)
+        return type(t)(right, left) if rng.random() < 0.5 else type(t)(left, right)
+    return t
+
+
+def mutated(rng, t, n_vars):
+    """t with the leaf at the end of a random path replaced by another atom."""
+    if isinstance(t, (Add, Mul)):
+        if rng.random() < 0.5:
+            return type(t)(mutated(rng, t.left, n_vars), t.right)
+        return type(t)(t.left, mutated(rng, t.right, n_vars))
+    atoms = [ZERO, ONE] + [Var(i) for i in range(1, n_vars + 1)]
+    return rng.choice([a for a in atoms if a != t])
+
+
+def test_holds_agrees_with_pointwise_reference(monkeypatch):
+    rng = Random(20261018)
+    algebras = [builtin(name) for name in BUILTIN_NAMES]
+    algebras += [lplus1(boolean_lattice(k)) for k in (1, 2, 3)]
+    algebras.append(direct_product(T3, T3))
+    verdicts = []
+    for alg in algebras:
+        for _ in range(24):
+            n = rng.randint(0, 6)
+            while alg.size**n > 1000:
+                n -= 1
+            lhs = random_term(rng, 9, n)
+            for _ in range(n):
+                lhs = rng.choice((Add, Mul))(lhs, random_term(rng, 9, n))
+            rhs = commuted(rng, lhs)
+            if rng.random() < 0.5:
+                rhs = mutated(rng, rhs, n)
+            ident = Identity(lhs, rhs)
+            expected = holds_by_labels(alg, ident)
+            verdicts.append(expected[0])
+            # the default block size, and one that splits spaces of over 10 points
+            for block in (misr.algebras._BLOCK_POINTS, 10):
+                monkeypatch.setattr(misr.algebras, "_BLOCK_POINTS", block)
+                assert holds(alg, ident) == expected, (alg.name, ident, block)
+            monkeypatch.undo()
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
 # --- axiom reports -----------------------------------------------------------
 
 def test_t3_axiom_report():
@@ -220,12 +300,30 @@ def test_boolean_lattice_shapes():
 
 
 def test_lplus1_of_two_element_lattice_is_t3():
-    alg = lplus1(boolean_lattice(1))
-    assert alg.elements == T3.elements
-    assert alg.add == T3.add
-    assert alg.mul == T3.mul
-    assert alg.zero == T3.zero
-    assert alg.one == T3.one
+    # the builtin two labels its top 1, which lplus1 relabels a
+    for lat in (boolean_lattice(1), TWO):
+        alg = lplus1(lat)
+        assert alg.elements == T3.elements
+        assert alg.add == T3.add
+        assert alg.mul == T3.mul
+        assert alg.zero == T3.zero
+        assert alg.one == T3.one
+
+
+def test_lplus1_rejects_other_uses_of_the_label_1():
+    # 1 on the bottom, and 1 on the top beside an element labelled a
+    bottom_1 = FiniteSemiring("c2", ("1", "a"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1)
+    chain = FiniteSemiring(
+        "c3",
+        ("0", "a", "1"),
+        ((0, 1, 2), (1, 1, 2), (2, 2, 2)),
+        ((0, 0, 0), (0, 1, 1), (0, 1, 2)),
+        0,
+        2,
+    )
+    for lat in (bottom_1, chain):
+        with pytest.raises(ValueError, match="reserved for the new unit"):
+            lplus1(lat)
 
 
 def test_lplus1_unit_behaviour():

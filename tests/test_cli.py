@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from misr import builtin, format_algebra, direct_product, parse_algebra, parse
+from misr import BUILTIN_NAMES, builtin, format_algebra, direct_product, parse_algebra, parse
 from misr.cli import main
 from support import T3_ADD, T3_MUL, eval_labels
 
@@ -250,6 +250,15 @@ def test_missing_algebra_file(capsys):
     code, _, err = run_cli(capsys, "si", "no-such-algebra")
     assert code == 2
     assert "error:" in err
+
+
+def test_mistyped_builtin_name(capsys):
+    code, out, err = run_cli(capsys, "eval", "t4", "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'t4'" in err
+    assert all(name in err for name in BUILTIN_NAMES)
 
 
 def test_usage_errors(capsys):
