@@ -15,9 +15,10 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
-from .terms import ONE, ZERO, Add, Mul, One, Term, Var, Zero, parse, variables
+from .terms import ONE, ZERO, One, Term, Var, parse, postfix, run, variables
 
 
 @dataclass(frozen=True)
@@ -67,21 +68,18 @@ class FiniteSemiring:
 
 def eval_term(alg: FiniteSemiring, t: Term, env: Mapping[int, int]) -> int:
     """Evaluate t under env (variable index -> element index)."""
-    match t:
-        case Zero():
-            return alg.zero
-        case One():
-            return alg.one
-        case Var(i):
+
+    def leaf(op: Term) -> int:
+        if isinstance(op, Var):
             try:
-                return env[i]
+                return env[op.index]
             except KeyError:
-                raise ValueError(f"unbound variable x{i}") from None
-        case Add(l, r):
-            return alg.add[eval_term(alg, l, env)][eval_term(alg, r, env)]
-        case Mul(l, r):
-            return alg.mul[eval_term(alg, l, env)][eval_term(alg, r, env)]
-    raise TypeError(f"not a term: {t!r}")
+                raise ValueError(f"unbound variable x{op.index}") from None
+        return alg.one if isinstance(op, One) else alg.zero
+
+    add, mul = alg.add, alg.mul
+    (value,) = run(postfix(t), leaf, lambda a, b: add[a][b], lambda a, b: mul[a][b])
+    return value
 
 
 @dataclass(frozen=True)
@@ -121,22 +119,9 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     of bitmasks, one per element, in which bit p is set when the side
     equals that element at the block's p-th point.
     """
-    vs = ident.variable_list()
+    code = postfix(ident.lhs, ident.rhs)
+    vs = sorted({op.index for op in code if isinstance(op, Var)})
     k, n = alg.size, len(vs)
-    # both sides as (table, left, right) instructions over slots: 0..n-1
-    # hold the variables in vs order, n and n+1 hold 0 and 1, and each
-    # instruction fills the next slot
-    leaf = {Var(v): s for s, v in enumerate(vs)} | {ZERO: n, ONE: n + 1}
-    code: list[tuple[tuple[tuple[int, ...], ...], int, int]] = []
-
-    def compile_slot(t: Term) -> int:
-        if isinstance(t, (Add, Mul)):
-            table = alg.add if isinstance(t, Add) else alg.mul
-            code.append((table, compile_slot(t.left), compile_slot(t.right)))
-            return n + 1 + len(code)
-        return leaf[t]
-
-    lhs, rhs = compile_slot(ident.lhs), compile_slot(ident.rhs)
     swept = 1 if n else 0
     while swept < n and k ** (swept + 1) <= _BLOCK_POINTS:
         swept += 1
@@ -147,29 +132,34 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     # points, repeated with period k times that
     runs = [k ** (swept - 1 - t) for t in range(swept)]
     sweep = []
-    for run in runs:
-        repeat = full // ((1 << (k * run)) - 1)  # a 1 every k*run bits
-        sweep.append([(((1 << run) - 1) << (v * run)) * repeat for v in range(k)])
+    for r in runs:
+        repeat = full // ((1 << (k * r)) - 1)  # a 1 every k*r bits
+        sweep.append([(((1 << r) - 1) << (v * r)) * repeat for v in range(k)])
+
+    def combine(table, left: list[int], right: list[int]) -> list[int]:
+        rs = [(b, mb) for b, mb in enumerate(right) if mb]
+        out = [0] * k
+        for a, ma in enumerate(left):
+            if ma:
+                row = table[a]
+                for b, mb in rs:
+                    m = ma & mb
+                    if m:
+                        out[row[b]] |= m
+        return out
+
+    add, mul = partial(combine, alg.add), partial(combine, alg.mul)
+    leaves = [Var(v) for v in vs] + [ZERO, ONE]
+    units = [constant[alg.zero], constant[alg.one]]
     for head in itertools.product(range(k), repeat=n - swept):
-        slots = [constant[v] for v in head] + sweep
-        slots += (constant[alg.zero], constant[alg.one])
-        for table, left, right in code:
-            rs = [(b, mb) for b, mb in enumerate(slots[right]) if mb]
-            out = [0] * k
-            for a, ma in enumerate(slots[left]):
-                if ma:
-                    row = table[a]
-                    for b, mb in rs:
-                        m = ma & mb
-                        if m:
-                            out[row[b]] |= m
-            slots.append(out)
+        masks = dict(zip(leaves, [constant[v] for v in head] + sweep + units))
+        lhs, rhs = run(code, masks.__getitem__, add, mul)
         diff = 0
-        for ml, mr in zip(slots[lhs], slots[rhs]):
+        for ml, mr in zip(lhs, rhs):
             diff |= ml ^ mr
         if diff:
             p = (diff & -diff).bit_length() - 1
-            return False, dict(zip(vs, head + tuple(p // run % k for run in runs)))
+            return False, dict(zip(vs, head + tuple(p // r % k for r in runs)))
     return True, None
 
 
@@ -309,14 +299,12 @@ def boolean_lattice(k: int) -> FiniteSemiring:
     if not 1 <= k <= 4:
         raise ValueError(f"k must be between 1 and 4, got {k}")
     universe = frozenset(range(1, k + 1))
-    subsets = sorted(
-        (
-            frozenset(c)
-            for r in range(k + 1)
-            for c in itertools.combinations(range(1, k + 1), r)
-        ),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    # combinations yields them by size, then lexicographically
+    subsets = [
+        frozenset(c)
+        for r in range(k + 1)
+        for c in itertools.combinations(range(1, k + 1), r)
+    ]
     index = {s: i for i, s in enumerate(subsets)}
 
     def label(s: frozenset[int]) -> str:

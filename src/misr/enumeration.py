@@ -14,22 +14,18 @@ import itertools
 from dataclasses import dataclass
 
 from .algebras import FiniteSemiring
-from .normal import Monomial, SumOfProducts, find_reducible, monomial_key, rep_text
+from .normal import Monomial, SumOfProducts, find_reducible, rep_text
 
 DEFAULT_ARITY_CAP = 3
 
 
 def monomials_over(n: int) -> tuple[Monomial, ...]:
-    """All subsets of {1..n} in (cardinality, lexicographic) order."""
+    """All subsets of {1..n} in (cardinality, lexicographic) order, which is
+    the order combinations yields them in over ascending sizes."""
     return tuple(
-        sorted(
-            (
-                frozenset(c)
-                for r in range(n + 1)
-                for c in itertools.combinations(range(1, n + 1), r)
-            ),
-            key=monomial_key,
-        )
+        frozenset(c)
+        for r in range(n + 1)
+        for c in itertools.combinations(range(1, n + 1), r)
     )
 
 

@@ -13,7 +13,7 @@ find_reducible locates a single deletion triple.
 
 from __future__ import annotations
 
-from .terms import Add, Mul, Term, Var, Zero, One, ZERO, ONE, parse
+from .terms import Add, Mul, One, Term, Var, ZERO, ONE, parse, postfix
 
 Monomial = frozenset[int]
 SumOfProducts = tuple[Monomial, ...]
@@ -35,23 +35,24 @@ def flatten(t: Term) -> SumOfProducts:
     Valid in every commutative multiplicatively idempotent semiring: only
     distribution, commutation, x*x = x, and the constant laws are used.
     """
-    return tuple(sorted(_monomials(t), key=monomial_key))
-
-
-def _monomials(t: Term) -> list[Monomial]:
-    match t:
-        case Zero():
-            return []
-        case One():
-            return [frozenset()]
-        case Var(i):
-            return [frozenset((i,))]
-        case Add(l, r):
-            return _monomials(l) + _monomials(r)
-        case Mul(l, r):
-            left, right = _monomials(l), _monomials(r)
-            return [a | b for a in left for b in right]
-    raise TypeError(f"not a term: {t!r}")
+    # each list on the stack is read once, so a sum extends the longer of its
+    # operands in place (the order is lost to the sort), and a long sum takes
+    # linear time nested either way
+    stack: list[list[Monomial]] = []
+    for op in postfix(t):
+        if op is False:
+            right = stack.pop()
+            if len(right) > len(stack[-1]):
+                stack[-1], right = right, stack[-1]
+            stack[-1] += right
+        elif op is True:
+            right = stack.pop()
+            stack[-1] = [a | b for a in stack[-1] for b in right]
+        elif isinstance(op, Var):
+            stack.append([frozenset((op.index,))])
+        else:
+            stack.append([frozenset()] if isinstance(op, One) else [])
+    return tuple(sorted(stack[0], key=monomial_key))
 
 
 def find_reducible(rep: SumOfProducts) -> tuple[int, int, int] | None:

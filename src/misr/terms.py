@@ -70,7 +70,7 @@ _ALIASES = {"x": 1, "y": 2, "z": 3}
 
 
 def _lex(text: str) -> list[tuple[str, object, int]]:
-    # token kinds: zero one var plus star lparen rparen end
+    # token kinds: each of 0 1 + * ( ) is its own kind, then var and end
     tokens: list[tuple[str, object, int]] = []
     i, n = 0, len(text)
     while i < n:
@@ -79,18 +79,8 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
             i += 1
             continue
         col = i + 1
-        if c == "0":
-            tokens.append(("zero", None, col))
-        elif c == "1":
-            tokens.append(("one", None, col))
-        elif c == "+":
-            tokens.append(("plus", None, col))
-        elif c == "*":
-            tokens.append(("star", None, col))
-        elif c == "(":
-            tokens.append(("lparen", None, col))
-        elif c == ")":
-            tokens.append(("rparen", None, col))
+        if c in "01+*()":
+            tokens.append((c, None, col))
         elif c == "x":
             j = i + 1
             while j < n and text[j].isdigit():
@@ -133,30 +123,30 @@ def parse(text: str) -> Term:
 
     def parse_sum() -> Term:
         t = parse_product()
-        while peek()[0] == "plus":
+        while peek()[0] == "+":
             advance()
             t = Add(t, parse_product())
         return t
 
     def parse_product() -> Term:
         t = parse_atom()
-        while peek()[0] == "star":
+        while peek()[0] == "*":
             advance()
             t = Mul(t, parse_atom())
         return t
 
     def parse_atom() -> Term:
         kind, value, col = advance()
-        if kind == "zero":
+        if kind == "0":
             return ZERO
-        if kind == "one":
+        if kind == "1":
             return ONE
         if kind == "var":
             return Var(value)  # type: ignore[arg-type]
-        if kind == "lparen":
+        if kind == "(":
             t = parse_sum()
             kind2, _, col2 = advance()
-            if kind2 != "rparen":
+            if kind2 != ")":
                 raise TermSyntaxError("expected ')'", col2)
             return t
         raise TermSyntaxError(f"expected a term, found {_describe(kind)}", col)
@@ -169,16 +159,43 @@ def parse(text: str) -> Term:
 
 
 def _describe(kind: str) -> str:
-    return {
-        "zero": "'0'",
-        "one": "'1'",
-        "var": "a variable",
-        "plus": "'+'",
-        "star": "'*'",
-        "lparen": "'('",
-        "rparen": "')'",
-        "end": "end of input",
-    }[kind]
+    return {"var": "a variable", "end": "end of input"}.get(kind, f"'{kind}'")
+
+
+def postfix(*terms: Term) -> list[Term | bool]:
+    """The nodes of the terms in postfix order, walked without recursion: a
+    leaf (Zero, One or Var) as itself, + as False and * as True.
+
+    >>> postfix(parse("x+y*z"), ONE)
+    [Var(index=1), Var(index=2), Var(index=3), True, False, One()]
+    """
+    code: list[Term | bool] = []
+    stack = list(terms)
+    while stack:  # root, then right subtree, then left: postfix reversed
+        t = stack.pop()
+        if isinstance(t, (Add, Mul)):
+            code.append(isinstance(t, Mul))
+            stack.append(t.left)
+            stack.append(t.right)
+        elif isinstance(t, (Zero, One, Var)):
+            code.append(t)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    code.reverse()
+    return code
+
+
+def run(code: list[Term | bool], leaf, add, mul) -> list:
+    """Evaluate postfix code on a value stack, with leaf(op) the value of a
+    leaf and add and mul combining two values; one value per term."""
+    stack: list = []
+    for op in code:
+        if isinstance(op, bool):
+            right = stack.pop()
+            stack[-1] = (mul if op else add)(stack[-1], right)
+        else:
+            stack.append(leaf(op))
+    return stack
 
 
 def to_text(t: Term) -> str:
@@ -188,36 +205,32 @@ def to_text(t: Term) -> str:
     parse left-associatively, a right child at the same precedence level is
     parenthesized.
     """
-
-    def go(t: Term, parent: int, right: bool) -> str:
-        match t:
-            case Zero():
-                return "0"
-            case One():
-                return "1"
-            case Var(i):
-                return f"x{i}"
-            case Add(l, r):
-                s = go(l, 1, False) + "+" + go(r, 1, True)
-                return f"({s})" if parent > 1 or (parent == 1 and right) else s
-            case Mul(l, r):
-                s = go(l, 2, False) + "*" + go(r, 2, True)
-                return f"({s})" if parent == 2 and right else s
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, 0, False)
+    out: list[str] = []
+    # a string is written as it is; a (term, least precedence it may have
+    # without parentheses) pair is expanded in its place
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, least = item
+        if isinstance(t, (Add, Mul)):
+            prec, sign = (2, "*") if isinstance(t, Mul) else (1, "+")
+            parts = [(t.left, prec), sign, (t.right, prec + 1)]
+            stack += reversed(["(", *parts, ")"] if prec < least else parts)
+        elif isinstance(t, Var):
+            out.append(f"x{t.index}")
+        elif isinstance(t, (Zero, One)):
+            out.append("1" if isinstance(t, One) else "0")
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def variables(t: Term) -> frozenset[int]:
     """The set of variable indices occurring in t."""
-    match t:
-        case Zero() | One():
-            return frozenset()
-        case Var(i):
-            return frozenset((i,))
-        case Add(l, r) | Mul(l, r):
-            return variables(l) | variables(r)
-    raise TypeError(f"not a term: {t!r}")
+    return frozenset(op.index for op in postfix(t) if isinstance(op, Var))
 
 
 def term_size(t: Term) -> int:

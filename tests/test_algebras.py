@@ -114,6 +114,39 @@ def test_eval_examples():
 def test_eval_unbound_variable():
     with pytest.raises(ValueError, match="unbound variable x2"):
         eval_term(T3, parse("x+y"), {1: 0})
+    # the leftmost unbound variable is named
+    with pytest.raises(ValueError, match="unbound variable x3"):
+        eval_term(T3, parse("x3*(x1+x2)"), {1: 0})
+
+
+def label_tables(alg):
+    """alg's add and mul tables keyed by labels, and the labels of 0 and 1,
+    as support.eval_labels takes them."""
+    els = alg.elements
+    pairs = list(itertools.product(range(alg.size), repeat=2))
+    add = {(els[a], els[b]): els[alg.add[a][b]] for a, b in pairs}
+    mul = {(els[a], els[b]): els[alg.mul[a][b]] for a, b in pairs}
+    return add, mul, els[alg.zero], els[alg.one]
+
+
+def random_algebra(rng, size):
+    """Random tables: not commutative, so an evaluator that swaps operands
+    gives other values."""
+    cells = [[rng.randrange(size) for _ in range(size)] for _ in range(2 * size)]
+    add, mul = tuple(map(tuple, cells[:size])), tuple(map(tuple, cells[size:]))
+    assert any(t[a][b] != t[b][a] for t in (add, mul) for a in range(size) for b in range(a))
+    return FiniteSemiring("random", tuple(f"r{i}" for i in range(size)), add, mul, 0, 1)
+
+
+def test_eval_agrees_with_label_evaluator():
+    rng = Random(20261019)
+    for alg in (T3, S3, GF3, lplus1(boolean_lattice(2)), random_algebra(rng, 3)):
+        tables = label_tables(alg)
+        for _ in range(500):
+            t = random_term(rng, rng.randint(1, 40), 5)
+            env = {i: rng.randrange(alg.size) for i in range(1, 6)}
+            labels = {i: alg.elements[e] for i, e in env.items()}
+            assert alg.elements[eval_term(alg, t, env)] == eval_labels(t, labels, *tables)
 
 
 # --- identities --------------------------------------------------------------
@@ -188,16 +221,11 @@ def holds_by_labels(alg, ident):
     """Pointwise reference for holds over label-keyed copies of alg's
     tables, evaluated by support.eval_labels."""
     els = alg.elements
-    pairs = list(itertools.product(range(alg.size), repeat=2))
-    add = {(els[a], els[b]): els[alg.add[a][b]] for a, b in pairs}
-    mul = {(els[a], els[b]): els[alg.mul[a][b]] for a, b in pairs}
-    zero, one = els[alg.zero], els[alg.one]
+    tables = label_tables(alg)
     vs = ident.variable_list()
     for point in itertools.product(els, repeat=len(vs)):
         env = dict(zip(vs, point))
-        if eval_labels(ident.lhs, env, add, mul, zero, one) != eval_labels(
-            ident.rhs, env, add, mul, zero, one
-        ):
+        if eval_labels(ident.lhs, env, *tables) != eval_labels(ident.rhs, env, *tables):
             return False, {v: els.index(label) for v, label in env.items()}
     return True, None
 
@@ -225,7 +253,7 @@ def test_holds_agrees_with_pointwise_reference(monkeypatch):
     rng = Random(20261018)
     algebras = [builtin(name) for name in BUILTIN_NAMES]
     algebras += [lplus1(boolean_lattice(k)) for k in (1, 2, 3)]
-    algebras.append(direct_product(T3, T3))
+    algebras += [direct_product(T3, T3), random_algebra(Random(3), 3)]
     verdicts = []
     for alg in algebras:
         for _ in range(24):

@@ -105,6 +105,13 @@ def test_eval_malformed_assignment(capsys):
     assert "error:" in err
 
 
+def test_eval_long_sum(capsys):
+    # the sum is 2999 Add nodes deep, past the default recursion limit
+    code, out, _ = run_cli(capsys, "eval", "t3", "+".join(["x"] * 3000), "x1=1")
+    assert code == 0
+    assert out == "a\n"
+
+
 # --- check ---------------------------------------------------------------------
 
 def test_check_holds(capsys):
@@ -117,6 +124,12 @@ def test_check_separating_identity_on_s3(capsys):
     code, out, _ = run_cli(capsys, "check", "s3", "1+x1+x1*x2+x1*x2 = 1+x1")
     assert code == 1
     assert out == "fails at x1=1, x2=a\n"
+
+
+def test_check_long_sum(capsys):
+    code, out, _ = run_cli(capsys, "check", "t3", "+".join(["x"] * 3000) + " = x+x")
+    assert code == 0
+    assert out == "holds\n"
 
 
 def test_check_nullary_witness(capsys):

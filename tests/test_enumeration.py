@@ -9,6 +9,8 @@ from misr import (
     eval_term,
     free_spectrum,
     is_reduced,
+    monomial_key,
+    monomials_over,
     normalize,
     rep_text,
     to_term,
@@ -68,6 +70,8 @@ def test_binary_listing():
 
 
 def test_every_listed_rep_is_reduced_and_canonical():
+    subsets = monomials_over(4)
+    assert len(subsets) == 16 and list(subsets) == sorted(set(subsets), key=monomial_key)
     for n in range(3):
         for rep in enumerate_reduced(n):
             assert is_reduced(rep)

@@ -8,6 +8,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from misr import (
+    Add,
+    Mul,
+    One,
+    Var,
+    Zero,
     builtin,
     decide_equal,
     eval_term,
@@ -23,7 +28,15 @@ from misr import (
     to_term,
     to_text,
 )
-from support import T3_ADD, T3_MUL, T3_LABELS, eval_labels, t3_agree, terms_strategy
+from support import (
+    T3_ADD,
+    T3_LABELS,
+    T3_MUL,
+    eval_labels,
+    random_term,
+    t3_agree,
+    terms_strategy,
+)
 
 E = frozenset()
 
@@ -72,6 +85,30 @@ def test_flatten_output_is_sorted(t):
     rep = flatten(t)
     keys = [monomial_key(mo) for mo in rep]
     assert keys == sorted(keys)
+
+
+def reference_monomials(t):
+    # the recursive expansion flatten replaced, kept as its reference
+    match t:
+        case Zero():
+            return []
+        case One():
+            return [frozenset()]
+        case Var(i):
+            return [frozenset((i,))]
+        case Add(l, r):
+            return reference_monomials(l) + reference_monomials(r)
+        case Mul(l, r):
+            left, right = reference_monomials(l), reference_monomials(r)
+            return [a | b for a in left for b in right]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def test_flatten_agrees_with_recursive_reference():
+    rng = Random(20261019)
+    for _ in range(2000):
+        t = random_term(rng, rng.randint(1, 40), rng.randint(0, 6))
+        assert flatten(t) == tuple(sorted(reference_monomials(t), key=monomial_key))
 
 
 @pytest.mark.parametrize("name", ["s3", "gf2", "two"])

@@ -1,21 +1,32 @@
 from __future__ import annotations
 
+import sys
+from random import Random
+
 import pytest
 from hypothesis import given
 
 from misr import (
     Add,
+    Identity,
     Mul,
+    One,
     ONE,
     TermSyntaxError,
     Var,
+    Zero,
     ZERO,
+    builtin,
+    eval_term,
+    holds,
+    normalize,
     parse,
+    rep_text,
     term_size,
     to_text,
     variables,
 )
-from support import terms_strategy
+from support import random_term, terms_strategy
 
 x1, x2, x3 = Var(1), Var(2), Var(3)
 
@@ -73,14 +84,32 @@ def test_juxtaposition_rejected():
         parse("xy")
 
 
+SYNTAX_ERRORS = [
+    ("x*(y", 5, "expected ')'"),
+    ("", 1, "expected a term, found end of input"),
+    ("x+", 3, "expected a term, found end of input"),
+    ("x)", 2, "unexpected ')'"),
+    ("x%y", 2, "unexpected character '%'"),
+    ("2", 1, "unexpected character '2'"),
+    ("+x", 1, "expected a term, found '+'"),
+    ("x**", 3, "expected a term, found '*'"),
+    ("x*)", 3, "expected a term, found ')'"),
+    ("x 0", 3, "unexpected '0'"),
+    ("x 1", 3, "unexpected '1'"),
+    ("x(", 2, "unexpected '('"),
+    ("x y", 3, "unexpected a variable"),
+]
+
+
+# ids without the message, as the cases were first named
 @pytest.mark.parametrize(
-    "text,column",
-    [("x*(y", 5), ("", 1), ("x+", 3), ("x)", 2), ("x%y", 2), ("2", 1)],
+    "text,column,message", SYNTAX_ERRORS, ids=[f"{t}-{c}" for t, c, _ in SYNTAX_ERRORS]
 )
-def test_syntax_errors_carry_positions(text, column):
+def test_syntax_errors_carry_positions(text, column, message):
     with pytest.raises(TermSyntaxError) as exc:
         parse(text)
     assert exc.value.position == column
+    assert str(exc.value) == f"{message} (column {column})"
 
 
 def test_to_text_examples():
@@ -118,3 +147,83 @@ def test_operator_sugar_builds_nodes():
 @given(terms_strategy(max_index=12))
 def test_round_trip(t):
     assert parse(to_text(t)) == t
+
+
+# --- the walks against recursive references ------------------------------------
+
+def reference_to_text(t, parent=0, right=False):
+    """The recursive printer that to_text replaced."""
+    match t:
+        case Zero():
+            return "0"
+        case One():
+            return "1"
+        case Var(i):
+            return f"x{i}"
+        case Add(l, r):
+            s = reference_to_text(l, 1, False) + "+" + reference_to_text(r, 1, True)
+            return f"({s})" if parent > 1 or (parent == 1 and right) else s
+        case Mul(l, r):
+            s = reference_to_text(l, 2, False) + "*" + reference_to_text(r, 2, True)
+            return f"({s})" if parent == 2 and right else s
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_variables(t):
+    """The recursive variable collector that variables replaced."""
+    match t:
+        case Zero() | One():
+            return frozenset()
+        case Var(i):
+            return frozenset((i,))
+        case Add(l, r) | Mul(l, r):
+            return reference_variables(l) | reference_variables(r)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def test_walks_agree_with_recursive_references():
+    rng = Random(20261019)
+    for _ in range(2000):
+        t = random_term(rng, rng.randint(1, 40), rng.randint(0, 6))
+        assert to_text(t) == reference_to_text(t)
+        assert variables(t) == reference_variables(t)
+
+
+@pytest.mark.parametrize("walk", [to_text, variables])
+def test_walks_reject_non_terms(walk):
+    with pytest.raises(TypeError, match="not a term"):
+        walk(Add(x1, "x2"))
+
+
+# --- terms far deeper than the recursion limit -----------------------------------
+
+DEPTH = 100_000
+
+
+@pytest.mark.parametrize("node", [Add, Mul])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_walks_do_not_recurse_on_depth(node, side):
+    # DEPTH nodes nested on one side over the leaves x1, x2, x3, x1, ...
+    # built directly, since parse still recurses on parentheses
+    assert sys.getrecursionlimit() < DEPTH
+    leaves = [Var(i % 3 + 1) for i in range(DEPTH + 1)]
+    texts = [f"x{leaf.index}" for leaf in leaves]
+    sign = "+" if node is Add else "*"
+    if side == "left":
+        t = leaves[0]
+        for leaf in leaves[1:]:
+            t = node(t, leaf)
+        expected = sign.join(texts)
+    else:
+        t = leaves[-1]
+        for leaf in reversed(leaves[:-1]):
+            t = node(leaf, t)
+        expected = f"{sign}(".join(texts[:-1]) + sign + texts[-1] + ")" * (DEPTH - 1)
+    assert to_text(t) == expected
+    assert variables(t) == {1, 2, 3}
+    t3 = builtin("t3")
+    # a sum of two or more 1s is a, and a product of 1s is 1
+    value = eval_term(t3, t, {1: t3.index("1"), 2: t3.index("1"), 3: t3.index("1")})
+    assert t3.elements[value] == ("a" if node is Add else "1")
+    assert rep_text(normalize(t)) == ("x1+x1+x2+x2+x3+x3" if node is Add else "x1*x2*x3")
+    assert holds(t3, Identity(t, t)) == (True, None)
