@@ -31,6 +31,7 @@ from .normal import (
     is_reduced,
     monomial_key,
     monomial_leq,
+    monomials_over,
     normalize,
     reduce_rep,
     rep_text,
@@ -72,7 +73,6 @@ from .enumeration import (
     clone_count,
     enumerate_reduced,
     free_spectrum,
-    monomials_over,
 )
 
 __version__ = "0.1.0"

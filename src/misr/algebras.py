@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
+from .normal import monomials_over
 from .terms import ONE, ZERO, One, Term, Var, parse, postfix, run, variables
 
 
@@ -299,12 +300,7 @@ def boolean_lattice(k: int) -> FiniteSemiring:
     if not 1 <= k <= 4:
         raise ValueError(f"k must be between 1 and 4, got {k}")
     universe = frozenset(range(1, k + 1))
-    # combinations yields them by size, then lexicographically
-    subsets = [
-        frozenset(c)
-        for r in range(k + 1)
-        for c in itertools.combinations(range(1, k + 1), r)
-    ]
+    subsets = monomials_over(k)
     index = {s: i for i, s in enumerate(subsets)}
 
     def label(s: frozenset[int]) -> str:

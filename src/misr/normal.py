@@ -13,6 +13,8 @@ find_reducible locates a single deletion triple.
 
 from __future__ import annotations
 
+import itertools
+
 from .terms import Add, Mul, One, Term, Var, ZERO, ONE, parse, postfix
 
 Monomial = frozenset[int]
@@ -22,6 +24,16 @@ SumOfProducts = tuple[Monomial, ...]
 def monomial_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
     """Sort key: cardinality first, then the sorted index tuple."""
     return (len(m), tuple(sorted(m)))
+
+
+def monomials_over(n: int) -> tuple[Monomial, ...]:
+    """All subsets of {1..n} in monomial_key order, which is the order
+    combinations yields them in over ascending sizes."""
+    return tuple(
+        frozenset(c)
+        for r in range(n + 1)
+        for c in itertools.combinations(range(1, n + 1), r)
+    )
 
 
 def monomial_leq(i: Monomial, j: Monomial) -> bool:
@@ -62,7 +74,7 @@ def find_reducible(rep: SumOfProducts) -> tuple[int, int, int] | None:
     I_i ∪ I_j ⊆ I_k.  Deterministic strategy: k is the largest position
     participating in any such triple, i and j are the two smallest
     positions (other than k) whose monomials are contained in I_k.
-    Used by is_reduced and by enumerate_reduced; reduce_rep does not need it.
+    Used by is_reduced; reduce_rep and enumerate_reduced do not need it.
     """
     for k in range(len(rep) - 1, -1, -1):
         first = -1

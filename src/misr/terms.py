@@ -12,9 +12,16 @@ from dataclasses import dataclass
 
 
 class Term:
-    """Base class for term nodes.  Instances are immutable and hashable."""
+    """Base class for term nodes.  Instances are immutable and hashable; sums
+    and products compare and hash by their postfix lists, at any depth."""
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Term) and postfix(self) == postfix(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(postfix(self)))
 
     def __add__(self, other: "Term") -> "Term":
         return Add(self, other)
@@ -42,13 +49,13 @@ class Var(Term):
             raise ValueError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mul(Term):
     left: Term
     right: Term

@@ -204,9 +204,18 @@ def test_enumerate_list(capsys):
 
 
 def test_enumerate_over_cap(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "-n", "4")
+    code, out, err = run_cli(capsys, "enumerate", "-n", "4")
     assert code == 2
     assert "exceeds" in err
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_enumerate_raised_cap(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "-n", "4", "--max-arity", "4")
+    assert code == 0
+    assert out == "4134\n"
+    assert err == ""
 
 
 def test_enumerate_lowered_cap(capsys):

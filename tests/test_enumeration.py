@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from misr import (
@@ -7,6 +9,7 @@ from misr import (
     clone_count,
     enumerate_reduced,
     eval_term,
+    find_reducible,
     free_spectrum,
     is_reduced,
     monomial_key,
@@ -15,6 +18,7 @@ from misr import (
     rep_text,
     to_term,
 )
+from support import T3_ADD, T3_LABELS, T3_MUL
 
 T3 = builtin("t3")
 
@@ -156,3 +160,47 @@ def test_arity_cap():
 
 def test_three_variable_count():
     assert len(enumerate_reduced(3)) == 135
+
+
+# --- the construction against the filter it replaced ------------------------------
+
+def enumerate_by_filter(n):
+    """The 3^(2^n) filter that enumerate_reduced replaced: every multiplicity
+    vector in {0,1,2}^(2^n) whose form has no deletion triple."""
+    subsets = monomials_over(n)
+    reps = []
+    for mults in itertools.product((0, 1, 2), repeat=len(subsets)):
+        rep = tuple(s for s, m in zip(subsets, mults) for _ in range(m))
+        if find_reducible(rep) is None:
+            reps.append(rep)
+    reps.sort(key=rep_text)
+    return reps
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_construction_agrees_with_filter(n):
+    assert enumerate_reduced(n) == enumerate_by_filter(n)
+
+
+def t3_label_table(rep, points):
+    """The value table of a reduced form over t3, folded from the label tables."""
+    table = []
+    for point in points:
+        total = "0"
+        for mono in rep:
+            prod = "1"
+            for i in mono:
+                prod = T3_MUL[(prod, point[i - 1])]
+            total = T3_ADD[(total, prod)]
+        table.append(total)
+    return tuple(table)
+
+
+def test_four_variable_listing():
+    reps = enumerate_reduced(4, cap=4)
+    assert len(reps) == 4134
+    assert len(set(reps)) == 4134
+    assert [rep_text(r) for r in reps] == sorted(rep_text(r) for r in reps)
+    assert all(is_reduced(r) for r in reps)
+    points = list(itertools.product(T3_LABELS, repeat=4))
+    assert len({t3_label_table(r, points) for r in reps}) == 4134

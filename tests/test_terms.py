@@ -200,6 +200,19 @@ def test_walks_reject_non_terms(walk):
 DEPTH = 100_000
 
 
+def nested(node, leaves, side):
+    """The leaves joined by node, nested on one side, built without parse."""
+    if side == "left":
+        t = leaves[0]
+        for leaf in leaves[1:]:
+            t = node(t, leaf)
+        return t
+    t = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        t = node(leaf, t)
+    return t
+
+
 @pytest.mark.parametrize("node", [Add, Mul])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_walks_do_not_recurse_on_depth(node, side):
@@ -209,15 +222,10 @@ def test_walks_do_not_recurse_on_depth(node, side):
     leaves = [Var(i % 3 + 1) for i in range(DEPTH + 1)]
     texts = [f"x{leaf.index}" for leaf in leaves]
     sign = "+" if node is Add else "*"
+    t = nested(node, leaves, side)
     if side == "left":
-        t = leaves[0]
-        for leaf in leaves[1:]:
-            t = node(t, leaf)
         expected = sign.join(texts)
     else:
-        t = leaves[-1]
-        for leaf in reversed(leaves[:-1]):
-            t = node(leaf, t)
         expected = f"{sign}(".join(texts[:-1]) + sign + texts[-1] + ")" * (DEPTH - 1)
     assert to_text(t) == expected
     assert variables(t) == {1, 2, 3}
@@ -227,3 +235,20 @@ def test_walks_do_not_recurse_on_depth(node, side):
     assert t3.elements[value] == ("a" if node is Add else "1")
     assert rep_text(normalize(t)) == ("x1+x1+x2+x2+x3+x3" if node is Add else "x1*x2*x3")
     assert holds(t3, Identity(t, t)) == (True, None)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_terms_compare_and_hash_without_recursion(side):
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    leaves = [Var(i % 3 + 1) for i in range(depth + 1)]
+    a = nested(Add, leaves, side)
+    b = nested(Add, [Var(leaf.index) for leaf in leaves], side)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    changed = leaves[:]
+    changed[depth // 2] = Var(4)
+    c = nested(Add, changed, side)
+    assert a != c and not a == c
+    assert len({a, c}) == 2
