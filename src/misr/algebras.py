@@ -290,15 +290,17 @@ def _lattice_problem(lat: FiniteSemiring) -> str | None:
 
 
 def boolean_lattice(k: int) -> FiniteSemiring:
-    """The lattice of subsets of {1..k}, 1 <= k <= 4, as a semiring:
+    """The lattice of subsets of {1..k}, 1 <= k <= 6, as a semiring:
     + is union, * is intersection, 0 is the empty set and 1 the full set.
 
     Elements are sorted by (cardinality, lexicographic) and labeled "0" for
     the empty set, "a" for the full set, and "e<digits>" in between, so that
-    lplus1(boolean_lattice(1)) reproduces the t3 labeling exactly.
+    lplus1(boolean_lattice(1)) reproduces the t3 labeling exactly.  The
+    labels would be ambiguous from k = 10 on; k stops at 6, whose lplus1
+    has 65 elements.
     """
-    if not 1 <= k <= 4:
-        raise ValueError(f"k must be between 1 and 4, got {k}")
+    if not 1 <= k <= 6:
+        raise ValueError(f"k must be between 1 and 6, got {k}")
     universe = frozenset(range(1, k + 1))
     subsets = monomials_over(k)
     index = {s: i for i, s in enumerate(subsets)}

@@ -1,18 +1,27 @@
 """Congruences of finite semirings: principal closures and monoliths.
 
 A congruence is a partition compatible with both Cayley tables.  The
-principal congruence Cg(a,b) is the least congruence merging a and b; an
-algebra is subdirectly irreducible when the intersection of all its
-principal congruences over distinct pairs is still non-discrete, and that
-intersection is then its monolith (the least non-trivial congruence).
+principal congruence Cg(a,b) is the least congruence merging a and b, found
+by one union-find closure under both sides of both tables.  An algebra is
+subdirectly irreducible when the meet M of its principal congruences over
+distinct pairs is still non-discrete, and M is then its monolith (the least
+non-trivial congruence).
+
+The test finishes few closures.  A closure stops as soon as it merges every
+spanning pair of the running meet M, or a pair already shown to generate a
+congruence containing M: Cg(a,b) then contains M and the meet is unchanged.
+Every pair is such a proof once its closure stops or ends, and stays one
+while M shrinks.  (R. Freese, "Computing congruences efficiently", Algebra
+Universalis 59 (2008), likewise closes with union-find and reuses work
+across pairs.)
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .algebras import FiniteSemiring
 
@@ -59,10 +68,7 @@ class Partition:
         """Common refinement: x ~ y iff both partitions relate x and y."""
         if other.size != self.size:
             raise ValueError("partition sizes differ")
-        groups: dict[tuple[int, int], list[int]] = {}
-        for x in range(self.size):
-            groups.setdefault((self._block_of[x], other._block_of[x]), []).append(x)
-        return Partition.from_blocks(self.size, groups.values())
+        return _by_label(list(zip(self._block_of, other._block_of)))
 
     def refines(self, other: "Partition") -> bool:
         """Every block of self lies inside a block of other."""
@@ -83,18 +89,26 @@ class Partition:
         )
 
 
-def principal_congruence(alg: FiniteSemiring, a: int, b: int) -> Partition:
-    """The least congruence of alg merging a and b.
+def _sides(alg: FiniteSemiring) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Both tables by rows and by columns: row x of each lists x+c, c+x, x*c
+    and c*x over every c."""
+    return alg.add, tuple(zip(*alg.add)), alg.mul, tuple(zip(*alg.mul))
 
-    Closure: starting from the merge of {a, b}, every newly related pair
-    (x, y) forces (x+c, y+c), (c+x, c+y), (x*c, y*c), (c*x, c*y) to be
-    related for every c, until a fixpoint.  Spanning pairs suffice because
-    relatedness is kept transitively closed by union-find.
+
+def _closure(
+    sides: tuple[tuple[tuple[int, ...], ...], ...],
+    a: int,
+    b: int,
+    stop: Callable[[Callable[[int], int], int, int], bool] | None = None,
+) -> list[int] | None:
+    """Union-find closure of Cg(a,b): the root of each element's block, or
+    None as soon as stop(find, x, y) holds right after x and y are merged.
+
+    Every merged pair (x, y) forces its translates (x+c, y+c), (c+x, c+y),
+    (x*c, y*c) and (c*x, c*y); spanning pairs suffice because union-find
+    keeps the relation transitively closed.
     """
-    n = alg.size
-    if not 0 <= a < n or not 0 <= b < n:
-        raise ValueError("element index out of range")
-    parent = list(range(n))
+    parent = list(range(len(sides[0])))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -102,32 +116,35 @@ def principal_congruence(alg: FiniteSemiring, a: int, b: int) -> Partition:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> bool:
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
         rx, ry = find(x), find(y)
         if rx == ry:
-            return False
+            continue
         parent[ry] = rx
-        return True
+        if stop is not None and stop(find, x, y):
+            return None
+        for table in sides:
+            pending += zip(table[x], table[y])
+    return [find(x) for x in range(len(parent))]
 
-    queue: deque[tuple[int, int]] = deque()
-    if union(a, b):
-        queue.append((a, b))
-    add, mul = alg.add, alg.mul
-    while queue:
-        x, y = queue.popleft()
-        for c in range(n):
-            for p, q in (
-                (add[x][c], add[y][c]),
-                (add[c][x], add[c][y]),
-                (mul[x][c], mul[y][c]),
-                (mul[c][x], mul[c][y]),
-            ):
-                if union(p, q):
-                    queue.append((p, q))
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return Partition.from_blocks(n, groups.values())
+
+def _by_label(labels: Sequence[Hashable]) -> Partition:
+    """The partition putting x and y together iff labels[x] == labels[y]."""
+    groups: dict[Hashable, list[int]] = {}
+    for x, label in enumerate(labels):
+        groups.setdefault(label, []).append(x)
+    return Partition.from_blocks(len(labels), groups.values())
+
+
+def principal_congruence(alg: FiniteSemiring, a: int, b: int) -> Partition:
+    """The least congruence of alg merging a and b, closed by union-find
+    under both sides of both tables."""
+    n = alg.size
+    if not 0 <= a < n or not 0 <= b < n:
+        raise ValueError("element index out of range")
+    return _by_label(_closure(_sides(alg), a, b))
 
 
 def is_congruence(alg: FiniteSemiring, part: Partition) -> bool:
@@ -156,19 +173,43 @@ def is_subdirectly_irreducible(
 ) -> tuple[bool, Partition | None]:
     """Does alg have a least non-trivial congruence (its monolith)?
 
-    Computed as the intersection of Cg(a,b) over all pairs a != b; the
-    algebra is subdirectly irreducible iff that intersection is not the
-    discrete partition, and the intersection is then the monolith.
+    The monolith is the meet M of Cg(a,b) over all pairs a != b; alg is
+    subdirectly irreducible iff M is not discrete.  M is kept as the least
+    element of each element's block, and each closure stops early once
+    Cg(a,b) is known to contain M: when all of M's spanning pairs are
+    merged, or when it merges a pair already shown to generate a congruence
+    containing M.  Only closures that run to the end shrink M.
     Raises on a one-element carrier (only infinite or trivial cases are
     out of scope; every finite carrier of size >= 2 is decided here).
     """
     n = alg.size
     if n < 2:
         raise ValueError("subdirect irreducibility needs at least two elements")
-    mono = Partition.full(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            mono = mono.meet(principal_congruence(alg, a, b))
-            if mono.is_discrete:
+    sides = _sides(alg)
+    least = [0] * n  # the least element of x's block of M
+    span = [(0, x) for x in range(1, n)]
+    # pairs (both orders) whose principal congruence contains M; M only
+    # shrinks, so a pair once proven stays proven
+    proven: set[tuple[int, int]] = set()
+    for a, b in combinations(range(n), 2):
+        merged = 0  # span[:merged] are merged in the current closure
+
+        def contains_meet(find: Callable[[int], int], x: int, y: int) -> bool:
+            nonlocal merged
+            if (x, y) in proven:
+                return True
+            while find(span[merged][0]) == find(span[merged][1]):
+                merged += 1
+                if merged == len(span):
+                    return True
+            return False
+
+        roots = _closure(sides, a, b, contains_meet)
+        proven.update(((a, b), (b, a)))
+        if roots is not None:
+            first: dict[tuple[int, int], int] = {}
+            least = [first.setdefault((least[x], roots[x]), x) for x in range(n)]
+            span = [(m, x) for x, m in enumerate(least) if m != x]
+            if not span:
                 return False, None
-    return True, mono
+    return True, _by_label(least)

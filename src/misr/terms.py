@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 class Term:
     """Base class for term nodes.  Instances are immutable and hashable; sums
-    and products compare and hash by their postfix lists, at any depth."""
+    and products compare and hash by their postfix lists, and print as the
+    dataclass repr would, at any depth."""
 
     __slots__ = ()
 
@@ -22,6 +23,23 @@ class Term:
 
     def __hash__(self) -> int:
         return hash(tuple(postfix(self)))
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        # a string is written as it is; a 1-tuple holds a node to expand
+        stack: list = [(self,)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            (t,) = item
+            if isinstance(t, (Add, Mul)):
+                name = type(t).__qualname__
+                stack += [")", (t.right,), ", right=", (t.left,), f"{name}(left="]
+            else:
+                out.append(repr(t))
+        return "".join(out)
 
     def __add__(self, other: "Term") -> "Term":
         return Add(self, other)
@@ -49,13 +67,13 @@ class Var(Term):
             raise ValueError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Mul(Term):
     left: Term
     right: Term

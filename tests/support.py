@@ -9,6 +9,7 @@ label-keyed dict tables, and the congruence oracle enumerates raw partitions.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from random import Random
 
 from hypothesis import strategies as st
@@ -163,3 +164,60 @@ def si_by_exhaustion(alg) -> tuple[bool, frozenset[frozenset[int]] | None]:
     monolith = frozenset(classes)
     discrete = all(len(c) == 1 for c in classes)
     return (not discrete), (None if discrete else monolith)
+
+
+# --- all-pairs meet of principal congruences ------------------------------------
+
+def _principal_roots(add, mul, n: int, a: int, b: int) -> list[int]:
+    """Cg(a,b) as a root per element: breadth-first union-find closure under
+    both sides of both tables, always run to the end."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    queue = deque([(a, b)])
+    while queue:
+        x, y = queue.popleft()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[ry] = rx
+        for c in range(n):
+            queue.append((add[x][c], add[y][c]))
+            queue.append((add[c][x], add[c][y]))
+            queue.append((mul[x][c], mul[y][c]))
+            queue.append((mul[c][x], mul[c][y]))
+    return [find(x) for x in range(n)]
+
+
+def si_by_meet(alg) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+    """Subdirect irreducibility as the meet of Cg(a,b) over every pair a < b,
+    each computed in full: (verdict, monolith blocks in canonical order)."""
+    n = alg.size
+    label = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        roots = _principal_roots(alg.add, alg.mul, n, a, b)
+        ids: dict[tuple[int, int], int] = {}
+        label = [ids.setdefault(key, len(ids)) for key in zip(label, roots)]
+        if len(ids) == n:
+            return False, None
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        blocks.setdefault(label[x], []).append(x)
+    return True, tuple(sorted(tuple(b) for b in blocks.values()))
+
+
+def lplus1_monolith(k: int) -> str:
+    """The monolith of lplus1(boolean_lattice(k)) as si prints it: every
+    element alone except a and 1, the labels written out here (the proper
+    non-empty subsets of {1..k} by size, then lexicographically, as
+    e<digits>)."""
+    middle = [
+        "{e" + "".join(map(str, s)) + "}"
+        for size in range(1, k)
+        for s in itertools.combinations(range(1, k + 1), size)
+    ]
+    return ",".join(["{0}", *middle, "{a,1}"])

@@ -322,7 +322,7 @@ def test_boolean_lattice_shapes():
     b2 = boolean_lattice(2)
     assert b2.elements == ("0", "e1", "e2", "a")
     assert all(c.ok for c in check_axioms(b2).checks)
-    for k in (0, 5):
+    for k in (0, 7):
         with pytest.raises(ValueError):
             boolean_lattice(k)
 

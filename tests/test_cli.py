@@ -11,7 +11,7 @@ import pytest
 
 from misr import BUILTIN_NAMES, builtin, format_algebra, direct_product, parse_algebra, parse
 from misr.cli import main
-from support import T3_ADD, T3_MUL, eval_labels
+from support import T3_ADD, T3_MUL, eval_labels, lplus1_monolith
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +240,23 @@ def test_build_lplus1_k2_size(capsys):
     code, out, _ = run_cli(capsys, "build-lplus1", "-k", "2")
     assert code == 0
     assert parse_algebra(out).size == 5
+
+
+def test_build_lplus1_k6_is_subdirectly_irreducible(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "build-lplus1", "-k", "6")
+    assert code == 0
+    path = tmp_path / "b6.alg"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "si", str(path))
+    assert code == 0
+    assert out == f"subdirectly irreducible; monolith: {lplus1_monolith(6)}\n"
+
+
+def test_build_lplus1_k7_rejected(capsys):
+    code, out, err = run_cli(capsys, "build-lplus1", "-k", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # --- guards and plumbing ---------------------------------------------------------------

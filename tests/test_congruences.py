@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+from random import Random
+
 import pytest
 
 from misr import (
+    BUILTIN_NAMES,
+    FiniteSemiring,
     Partition,
     boolean_lattice,
     builtin,
@@ -12,7 +18,7 @@ from misr import (
     lplus1,
     principal_congruence,
 )
-from support import si_by_exhaustion
+from support import lplus1_monolith, si_by_exhaustion, si_by_meet
 
 T3 = builtin("t3")
 TWO = builtin("two")
@@ -132,6 +138,63 @@ def test_five_element_lplus1_is_subdirectly_irreducible():
     irreducible, monolith = is_subdirectly_irreducible(alg)
     assert irreducible
     assert monolith is not None and not monolith.is_discrete
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_lplus1_monolith_merges_only_a_and_1(k):
+    alg = lplus1(boolean_lattice(k))
+    irreducible, monolith = is_subdirectly_irreducible(alg)
+    assert irreducible
+    assert monolith.render(alg.elements) == lplus1_monolith(k)
+
+
+def random_tables(rng: Random, size: int, commutative: bool) -> FiniteSemiring:
+    """Random tables on size elements that map onto random tables on a
+    random number of elements, so that the kernel of the map is a
+    congruence; both tables are symmetric when commutative is set."""
+    quotient = rng.randint(1, size)
+    image = list(range(quotient)) + [rng.randrange(quotient) for _ in range(size - quotient)]
+    rng.shuffle(image)
+    blocks = [[x for x in range(size) if image[x] == q] for q in range(quotient)]
+
+    def symmetric(rows):
+        if commutative:
+            for x, y in combinations(range(len(rows)), 2):
+                rows[y][x] = rows[x][y]
+        return rows
+
+    def table():
+        small = symmetric([[rng.randrange(quotient) for _ in range(quotient)] for _ in range(quotient)])
+        rows = [[rng.choice(blocks[small[image[x]][image[y]]]) for y in range(size)] for x in range(size)]
+        return tuple(map(tuple, symmetric(rows)))
+
+    labels = tuple(f"r{i}" for i in range(size))
+    return FiniteSemiring("random", labels, table(), table(), 0, 1)
+
+
+def test_si_agrees_with_meet_of_all_principal_congruences():
+    # random tables are nearly always SI, and a product of two non-trivial
+    # algebras never is (its projection kernels meet in the discrete
+    # partition), so the products supply the other verdict; lplus1 stops at
+    # k = 5 because the all-pairs meet takes about 20 s at k = 6
+    rng = Random(20261018)
+    algebras = [builtin(name) for name in BUILTIN_NAMES]
+    algebras += [lplus1(boolean_lattice(k)) for k in range(1, 6)]
+    algebras += [random_tables(rng, rng.randint(2, 6), i % 2 == 0) for i in range(300)]
+    algebras += [
+        direct_product(
+            random_tables(rng, rng.randint(2, 3), i % 2 == 0),
+            random_tables(rng, rng.randint(2, 3), i % 3 == 0),
+        )
+        for i in range(100)
+    ]
+    verdicts = Counter()
+    for alg in algebras:
+        irreducible, monolith = is_subdirectly_irreducible(alg)
+        got = (irreducible, None if monolith is None else monolith.blocks)
+        assert got == si_by_meet(alg), alg
+        verdicts[irreducible] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
 def test_two_squared_is_not_subdirectly_irreducible():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import sys
 from random import Random
 
@@ -252,3 +253,34 @@ def test_deep_terms_compare_and_hash_without_recursion(side):
     c = nested(Add, changed, side)
     assert a != c and not a == c
     assert len({a, c}) == 2
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_term_repr_without_recursion(side):
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    leaves = [Var(i % 3 + 1) for i in range(depth + 1)]
+    texts = [f"Var(index={leaf.index})" for leaf in leaves]
+    if side == "left":
+        expected = "Add(left=" * depth + texts[0] + "".join(f", right={x})" for x in texts[1:])
+    else:
+        expected = "".join(f"Add(left={x}, right=" for x in texts[:-1]) + texts[-1] + ")" * depth
+    assert repr(nested(Add, leaves, side)) == expected
+
+
+def dataclass_repr(value) -> str:
+    """The repr that @dataclass generates, applied at every level."""
+    if not dataclasses.is_dataclass(value):
+        return repr(value)
+    fields = ", ".join(
+        f"{f.name}={dataclass_repr(getattr(value, f.name))}" for f in dataclasses.fields(value)
+    )
+    return f"{type(value).__qualname__}({fields})"
+
+
+def test_repr_matches_dataclass_form():
+    rng = Random(20261018)
+    for _ in range(500):
+        t = random_term(rng, rng.randint(1, 30), 4)
+        assert repr(t) == dataclass_repr(t)
+    assert repr(Add(1, "x")) == "Add(left=1, right='x')"
