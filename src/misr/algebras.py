@@ -65,6 +65,12 @@ class FiniteSemiring:
             ) from None
 
 
+def _sides(alg: FiniteSemiring) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Both tables by rows and by columns: row x of each lists x+c, c+x, x*c
+    and c*x over every c."""
+    return alg.add, tuple(zip(*alg.add)), alg.mul, tuple(zip(*alg.mul))
+
+
 # --- evaluation and identities ----------------------------------------------
 
 def eval_term(alg: FiniteSemiring, t: Term, env: Mapping[int, int]) -> int:

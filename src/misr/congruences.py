@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .algebras import FiniteSemiring
+from .algebras import FiniteSemiring, _sides
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,6 @@ class Partition:
         )
 
 
-def _sides(alg: FiniteSemiring) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Both tables by rows and by columns: row x of each lists x+c, c+x, x*c
-    and c*x over every c."""
-    return alg.add, tuple(zip(*alg.add)), alg.mul, tuple(zip(*alg.mul))
-
-
 def _closure(
     sides: tuple[tuple[tuple[int, ...], ...], ...],
     a: int,
@@ -151,21 +145,14 @@ def is_congruence(alg: FiniteSemiring, part: Partition) -> bool:
     """Is the partition compatible with both tables?"""
     if part.size != alg.size:
         raise ValueError("partition size does not match the carrier")
-    n = alg.size
-    add, mul = alg.add, alg.mul
-    for block in part.blocks:
-        x = block[0]
-        for y in block[1:]:
-            for c in range(n):
-                if not part.same(add[x][c], add[y][c]):
-                    return False
-                if not part.same(add[c][x], add[c][y]):
-                    return False
-                if not part.same(mul[x][c], mul[y][c]):
-                    return False
-                if not part.same(mul[c][x], mul[c][y]):
-                    return False
-    return True
+    sides = _sides(alg)
+    return all(
+        part.same(u, v)
+        for block in part.blocks
+        for y in block[1:]
+        for rows in sides
+        for u, v in zip(rows[block[0]], rows[y])
+    )
 
 
 def is_subdirectly_irreducible(

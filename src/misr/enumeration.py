@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebras import FiniteSemiring
+from .algebras import FiniteSemiring, _sides
 from .normal import SumOfProducts, monomials_over, rep_text
 
 DEFAULT_ARITY_CAP = 3
@@ -43,33 +43,27 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
     """Number of n-ary term functions of alg.
 
     Closure of the two constant functions and the n projections under the
-    pointwise operations, counted by distinct value tables.
+    pointwise operations, counted by distinct value tables.  Each function
+    taken off the worklist is combined once with itself and once with each
+    function taken before it, on both sides of both tables.
     """
     if n < 0:
         raise ValueError("arity must be non-negative")
     points = list(itertools.product(range(alg.size), repeat=n))
-    known: set[tuple[int, ...]] = {
-        tuple(alg.zero for _ in points),
-        tuple(alg.one for _ in points),
-    }
-    for i in range(n):
-        known.add(tuple(p[i] for p in points))
-    add, mul = alg.add, alg.mul
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in list(known):
-                for h in (
-                    tuple(add[x][y] for x, y in zip(f, g)),
-                    tuple(add[y][x] for x, y in zip(f, g)),
-                    tuple(mul[x][y] for x, y in zip(f, g)),
-                    tuple(mul[y][x] for x, y in zip(f, g)),
-                ):
-                    if h not in known:
-                        known.add(h)
-                        fresh.append(h)
-        frontier = fresh
+    known = {tuple(alg.zero for _ in points), tuple(alg.one for _ in points)}
+    known.update(tuple(p[i] for p in points) for i in range(n))
+    sides = _sides(alg)
+    todo, done = list(known), []
+    while todo:
+        f = todo.pop()
+        done.append(f)
+        # row f[p] of each side at column g[p]: f+g, g+f, f*g and g*f
+        for g in done:
+            for rows in sides:
+                h = tuple(rows[x][y] for x, y in zip(f, g))
+                if h not in known:
+                    known.add(h)
+                    todo.append(h)
     return len(known)
 
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: independent mini-evaluator, term generators, and the
-exhaustive congruence oracle.
+"""Shared test helpers: independent mini-evaluator, term generators, random
+tables, the exhaustive congruence oracle and the clone closure in rounds.
 
 Everything here is deliberately self-contained so that oracle-based tests do
 not exercise the code paths they are checking: the evaluator works over
@@ -14,7 +14,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from misr import Add, Mul, One, ONE, Term, Var, Zero, ZERO
+from misr import Add, FiniteSemiring, Mul, One, ONE, Term, Var, Zero, ZERO
 
 # The three-element chain model used as the equality oracle, transcribed
 # independently of the package's builtin tables.
@@ -91,6 +91,32 @@ def terms_strategy(max_index: int = 3, max_leaves: int = 20):
         ),
         max_leaves=max_leaves,
     )
+
+
+# --- random tables ------------------------------------------------------------
+
+def random_tables(rng: Random, size: int, commutative: bool) -> FiniteSemiring:
+    """Random tables on size elements that map onto random tables on a
+    random number of elements, so that the kernel of the map is a
+    congruence; both tables are symmetric when commutative is set."""
+    quotient = rng.randint(1, size)
+    image = list(range(quotient)) + [rng.randrange(quotient) for _ in range(size - quotient)]
+    rng.shuffle(image)
+    blocks = [[x for x in range(size) if image[x] == q] for q in range(quotient)]
+
+    def symmetric(rows):
+        if commutative:
+            for x, y in itertools.combinations(range(len(rows)), 2):
+                rows[y][x] = rows[x][y]
+        return rows
+
+    def table():
+        small = symmetric([[rng.randrange(quotient) for _ in range(quotient)] for _ in range(quotient)])
+        rows = [[rng.choice(blocks[small[image[x]][image[y]]]) for y in range(size)] for x in range(size)]
+        return tuple(map(tuple, symmetric(rows)))
+
+    labels = tuple(f"r{i}" for i in range(size))
+    return FiniteSemiring("random", labels, table(), table(), 0, 1)
 
 
 # --- exhaustive congruence oracle (partitions of small carriers) -------------
@@ -221,3 +247,32 @@ def lplus1_monolith(k: int) -> str:
         for s in itertools.combinations(range(1, k + 1), size)
     ]
     return ",".join(["{0}", *middle, "{a,1}"])
+
+
+# --- clone closure in frontier rounds ------------------------------------------
+
+def clone_count_by_rounds(alg, n: int) -> int:
+    """The n-ary term functions of alg counted by closing {0, 1, projections}
+    in rounds: each round combines every new function with every known one,
+    both ways round in both tables, until a round finds nothing new."""
+    points = list(itertools.product(range(alg.size), repeat=n))
+    known = {tuple(alg.zero for _ in points), tuple(alg.one for _ in points)}
+    for i in range(n):
+        known.add(tuple(p[i] for p in points))
+    add, mul = alg.add, alg.mul
+    frontier = list(known)
+    while frontier:
+        fresh = []
+        for f in frontier:
+            for g in list(known):
+                for h in (
+                    tuple(add[x][y] for x, y in zip(f, g)),
+                    tuple(add[y][x] for x, y in zip(f, g)),
+                    tuple(mul[x][y] for x, y in zip(f, g)),
+                    tuple(mul[y][x] for x, y in zip(f, g)),
+                ):
+                    if h not in known:
+                        known.add(h)
+                        fresh.append(h)
+        frontier = fresh
+    return len(known)

@@ -1,14 +1,12 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from random import Random
 
 import pytest
 
 from misr import (
     BUILTIN_NAMES,
-    FiniteSemiring,
     Partition,
     boolean_lattice,
     builtin,
@@ -18,7 +16,14 @@ from misr import (
     lplus1,
     principal_congruence,
 )
-from support import lplus1_monolith, si_by_exhaustion, si_by_meet
+from support import (
+    _compatible,
+    all_partitions,
+    lplus1_monolith,
+    random_tables,
+    si_by_exhaustion,
+    si_by_meet,
+)
 
 T3 = builtin("t3")
 TWO = builtin("two")
@@ -108,8 +113,6 @@ def test_principal_congruences_are_congruences():
 def test_principal_congruence_is_least():
     # against the exhaustive oracle: Cg(a,b) refines every congruence
     # relating a and b
-    from support import all_partitions, _compatible
-
     for alg in SMALL_ALGEBRAS:
         n = alg.size
         congruences = []
@@ -148,28 +151,19 @@ def test_lplus1_monolith_merges_only_a_and_1(k):
     assert monolith.render(alg.elements) == lplus1_monolith(k)
 
 
-def random_tables(rng: Random, size: int, commutative: bool) -> FiniteSemiring:
-    """Random tables on size elements that map onto random tables on a
-    random number of elements, so that the kernel of the map is a
-    congruence; both tables are symmetric when commutative is set."""
-    quotient = rng.randint(1, size)
-    image = list(range(quotient)) + [rng.randrange(quotient) for _ in range(size - quotient)]
-    rng.shuffle(image)
-    blocks = [[x for x in range(size) if image[x] == q] for q in range(quotient)]
-
-    def symmetric(rows):
-        if commutative:
-            for x, y in combinations(range(len(rows)), 2):
-                rows[y][x] = rows[x][y]
-        return rows
-
-    def table():
-        small = symmetric([[rng.randrange(quotient) for _ in range(quotient)] for _ in range(quotient)])
-        rows = [[rng.choice(blocks[small[image[x]][image[y]]]) for y in range(size)] for x in range(size)]
-        return tuple(map(tuple, symmetric(rows)))
-
-    labels = tuple(f"r{i}" for i in range(size))
-    return FiniteSemiring("random", labels, table(), table(), 0, 1)
+def test_is_congruence_agrees_with_exhaustive_check():
+    # every partition of random tables, half of them non-commutative, so that
+    # a check missing a table or a side of one gives a wrong verdict
+    rng = Random(20261019)
+    verdicts = Counter()
+    for i in range(40):
+        alg = random_tables(rng, rng.randint(2, 4), i % 2 == 0)
+        for blocks in all_partitions(alg.size):
+            block_of = {x: b for b, block in enumerate(blocks) for x in block}
+            want = _compatible(alg.add, alg.mul, alg.size, block_of)
+            assert is_congruence(alg, Partition.from_blocks(alg.size, blocks)) == want, alg
+            verdicts[want] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
 def test_si_agrees_with_meet_of_all_principal_congruences():

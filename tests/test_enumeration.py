@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from misr import (
+    boolean_lattice,
     builtin,
     clone_count,
     enumerate_reduced,
@@ -12,13 +13,16 @@ from misr import (
     find_reducible,
     free_spectrum,
     is_reduced,
+    lplus1,
     monomial_key,
     monomials_over,
     normalize,
     rep_text,
     to_term,
 )
-from support import T3_ADD, T3_LABELS, T3_MUL
+from random import Random
+
+from support import T3_ADD, T3_LABELS, T3_MUL, clone_count_by_rounds, random_tables
 
 T3 = builtin("t3")
 
@@ -123,6 +127,25 @@ def test_clone_count_on_two_lattice():
                         grew = True
     assert len(tables) == 3
     assert clone_count(two, 1) == 3
+
+
+def test_clone_count_agrees_with_closure_in_rounds():
+    # half of the random tables are non-commutative, so that a closure
+    # missing g+f or g*f for f+g or f*g gives a different count
+    rng = Random(20261020)
+    cases = [(builtin(name), n) for name in ("two", "gf2", "t3", "s3") for n in range(3)]
+    for i in range(300):
+        alg = random_tables(rng, rng.randint(2, 3), i % 2 == 0)
+        cases += [(alg, n) for n in range(4 - alg.size)]
+    for alg, n in cases:
+        assert clone_count(alg, n) == clone_count_by_rounds(alg, n), (alg, n)
+
+
+@pytest.mark.parametrize("k, n", [(2, n) for n in range(4)] + [(3, n) for n in range(3)])
+def test_lplus1_generates_the_variety(k, n):
+    # a single semiring generates the variety: the term functions of
+    # lplus1(B_k) are as many as the reduced forms
+    assert clone_count(lplus1(boolean_lattice(k)), n) == len(enumerate_reduced(n))
 
 
 def test_listing_is_in_bijection_with_t3_tables():
