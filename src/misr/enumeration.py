@@ -4,8 +4,11 @@ enumerate_reduced lists every reduced sum-of-products form over n
 variables by placing the monomials in (size, lexicographic) order, each
 at most as often as the deletion criterion allows, so that it builds
 nothing but reduced forms.  clone_count closes {0, 1, projections} under the
-pointwise operations of a finite model; it never touches the normal-form
-code, so agreement of the two counts is a genuine cross-check.
+pointwise operations of a finite model.  It packs each function's value
+table into one int of fixed-width digits, so that combining two functions
+takes a few big-int ANDs and ORs in place of a tuple built point by point.
+It never touches the normal-form code, so agreement of the two counts is a
+genuine cross-check.
 """
 
 from __future__ import annotations
@@ -46,21 +49,45 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
     pointwise operations, counted by distinct value tables.  Each function
     taken off the worklist is combined once with itself and once with each
     function taken before it, on both sides of both tables.
+
+    A function is one int whose digit p, max(1, (k-1).bit_length()) bits
+    wide on a carrier of k elements, is its value at the p-th point of
+    range(k)^n.  A function f taken off the worklist is split once into a
+    unit mask per value it takes, from which each table T gives the k ints
+    whose digit p is T[f[p]][y].  f combined with g under T is the OR, over
+    the values y that g takes, of f's int for y masked to the digits where
+    g is y.
     """
     if n < 0:
         raise ValueError("arity must be non-negative")
-    points = list(itertools.product(range(alg.size), repeat=n))
-    known = {tuple(alg.zero for _ in points), tuple(alg.one for _ in points)}
-    known.update(tuple(p[i] for p in points) for i in range(n))
-    sides = _sides(alg)
+    k = alg.size
+    width = max(1, (k - 1).bit_length())
+    points = list(itertools.product(range(k), repeat=n))
+    ones = sum(1 << width * p for p in range(len(points)))  # digit 1 at every point
+    known = {alg.zero * ones, alg.one * ones}
+    known.update(sum(q[i] << width * p for p, q in enumerate(points)) for i in range(n))
+    # a commutative table equals its transpose, which adds nothing new
+    tables = tuple(dict.fromkeys(_sides(alg)))
+    digit = (1 << width) - 1
     todo, done = list(known), []
     while todo:
         f = todo.pop()
-        done.append(f)
-        # row f[p] of each side at column g[p]: f+g, g+f, f*g and g*f
+        bits = [f >> j & ones for j in range(width)]
+        units = {}  # value x -> digit 1 where f is x
+        for x in range(k):
+            u = ones
+            for j, b in enumerate(bits):
+                u &= b if x >> j & 1 else ones ^ b
+            if u:
+                units[x] = u
+        done.append([(y, u * digit) for y, u in units.items()])
+        lifted = [[sum(rows[x][y] * u for x, u in units.items()) for y in range(k)] for rows in tables]
+        # f+g, g+f, f*g and g*f: row f[p] of each table at column g[p]
         for g in done:
-            for rows in sides:
-                h = tuple(rows[x][y] for x, y in zip(f, g))
+            for by_column in lifted:
+                h = 0
+                for y, mask in g:
+                    h |= by_column[y] & mask
                 if h not in known:
                     known.add(h)
                     todo.append(h)

@@ -7,6 +7,11 @@ independent table transcription in support.py.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from misr import BUILTIN_NAMES, builtin, format_algebra, direct_product, parse_algebra, parse
@@ -178,6 +183,20 @@ def test_si_t3(capsys):
     code, out, _ = run_cli(capsys, "si", "t3")
     assert code == 0
     assert out == "subdirectly irreducible; monolith: {0},{a,1}\n"
+
+
+@pytest.mark.parametrize("module", ["misr", "misr.cli"])
+def test_module_execution(module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", module, "si", "t3"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "subdirectly irreducible; monolith: {0},{a,1}\n"
 
 
 def test_si_product_is_reducible(capsys, tmp_path):

@@ -5,9 +5,11 @@ import itertools
 import pytest
 
 from misr import (
+    FiniteSemiring,
     boolean_lattice,
     builtin,
     clone_count,
+    direct_product,
     enumerate_reduced,
     eval_term,
     find_reducible,
@@ -131,17 +133,29 @@ def test_clone_count_on_two_lattice():
 
 def test_clone_count_agrees_with_closure_in_rounds():
     # half of the random tables are non-commutative, so that a closure
-    # missing g+f or g*f for f+g or f*g gives a different count
+    # missing g+f or g*f for f+g or f*g gives a different count; the sizes
+    # give digits of 1 bit (k = 1, 2), 2 bits (k = 3, 4), 3 bits (k = 5, 6)
+    # and 5 bits (the 17 elements of lplus1(B_4))
     rng = Random(20261020)
+    one = FiniteSemiring("one", ("0",), ((0,),), ((0,),), 0, 0)
     cases = [(builtin(name), n) for name in ("two", "gf2", "t3", "s3") for n in range(3)]
+    cases += [(one, n) for n in range(4)] + [(lplus1(boolean_lattice(4)), n) for n in range(2)]
     for i in range(300):
         alg = random_tables(rng, rng.randint(2, 3), i % 2 == 0)
         cases += [(alg, n) for n in range(4 - alg.size)]
+    for i in range(20):
+        alg = random_tables(rng, rng.randint(4, 5), i % 2 == 0)
+        cases += [(alg, n) for n in range(6 - alg.size)]
+        # 6 elements in 3-bit digits, with at most 4 * 27 unary functions
+        alg = direct_product(random_tables(rng, 2, i % 2 == 0), random_tables(rng, 3, i % 2 == 0))
+        cases += [(alg, n) for n in range(2)]
     for alg, n in cases:
         assert clone_count(alg, n) == clone_count_by_rounds(alg, n), (alg, n)
 
 
-@pytest.mark.parametrize("k, n", [(2, n) for n in range(4)] + [(3, n) for n in range(3)])
+@pytest.mark.parametrize(
+    "k, n", [(2, n) for n in range(4)] + [(3, n) for n in range(4)] + [(4, n) for n in range(3)]
+)
 def test_lplus1_generates_the_variety(k, n):
     # a single semiring generates the variety: the term functions of
     # lplus1(B_k) are as many as the reduced forms
