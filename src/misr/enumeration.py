@@ -70,7 +70,8 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
     tables = tuple(dict.fromkeys(_sides(alg)))
     digit = (1 << width) - 1
     todo, done = list(known), []
-    while todo:
+    every = k ** len(points)  # once all functions are known, nothing new can appear
+    while todo and len(known) < every:
         f = todo.pop()
         bits = [f >> j & ones for j in range(width)]
         units = {}  # value x -> digit 1 where f is x

@@ -1,14 +1,14 @@
 """Sum-of-products forms and the equality decision.
 
 A monomial is the frozenset of variable indices of a square-free product;
-the empty monomial is the constant 1.  Every term flattens to a sorted
-multiset of monomials.  Deleting a summand k whenever two other summands
-i, j satisfy I_i ∪ I_j ⊆ I_k (which forces I_i ⊆ I_k and I_j ⊆ I_k) is
-sound under the absorption law x+y+x*y*z = x+y, and the surviving reduced
-form is a unique normal form: two terms denote the same element of the
-free algebra exactly when their reduced forms coincide.  reduce_rep makes
-all the deletions in one pass over the summands in nondecreasing size;
-find_reducible locates a single deletion triple.
+the empty monomial is the constant 1.  Every term expands to a multiset of
+monomials.  Deleting a summand k whenever two other summands i, j satisfy
+I_i ∪ I_j ⊆ I_k (which forces I_i ⊆ I_k and I_j ⊆ I_k) is sound under the
+absorption law x+y+x*y*z = x+y, and the surviving reduced form is a unique
+normal form: two terms denote the same element of the free algebra exactly
+when their reduced forms coincide.  reduce_rep makes all the deletions in
+one pass over the summands by size, flatten runs it at every product while
+it expands a term, and find_reducible locates a single deletion triple.
 """
 
 from __future__ import annotations
@@ -42,29 +42,40 @@ def monomial_leq(i: Monomial, j: Monomial) -> bool:
 
 
 def flatten(t: Term) -> SumOfProducts:
-    """Expand t into a sorted multiset of monomials (duplicates kept).
-
-    Valid in every commutative multiplicatively idempotent semiring: only
-    distribution, commutation, x*x = x, and the constant laws are used.
+    """The normal form of t, sorted by monomial_key.  Each product is reduced
+    as soon as it is expanded from reduced operands, so no multiplicity ever
+    exceeds 2; a sum is only concatenated, and reduced as an operand or root.
     """
-    # each list on the stack is read once, so a sum extends the longer of its
-    # operands in place (the order is lost to the sort), and a long sum takes
-    # linear time nested either way
-    stack: list[list[Monomial]] = []
+    # a tuple is reduced, and so is a list of fewer than 3 summands; a sum
+    # extends the longer operand in place as a list, so that a long sum takes
+    # linear time nested either way (reducing it at every + is quadratic)
+    stack: list[SumOfProducts | list[Monomial]] = []
     for op in postfix(t):
         if op is False:
             right = stack.pop()
             if len(right) > len(stack[-1]):
                 stack[-1], right = right, stack[-1]
+            if type(stack[-1]) is tuple:
+                stack[-1] = list(stack[-1])
             stack[-1] += right
         elif op is True:
             right = stack.pop()
-            stack[-1] = [a | b for a in stack[-1] for b in right]
+            left = stack[-1]
+            if len(left) > 2 and type(left) is list:
+                left = reduce_rep(left)
+            if len(right) > 2 and type(right) is list:
+                right = reduce_rep(right)
+            product = [a | b for a in left for b in right]
+            stack[-1] = reduce_rep(product) if len(product) > 2 else product
         elif isinstance(op, Var):
             stack.append([frozenset((op.index,))])
         else:
             stack.append([frozenset()] if isinstance(op, One) else [])
-    return tuple(sorted(stack[0], key=monomial_key))
+    rep = stack[0]
+    # monomial_key order, without building a key tuple per monomial
+    rep = sorted(reduce_rep(rep) if type(rep) is list else rep, key=sorted)
+    rep.sort(key=len)
+    return tuple(rep)
 
 
 def find_reducible(rep: SumOfProducts) -> tuple[int, int, int] | None:
@@ -91,7 +102,7 @@ def is_reduced(rep: SumOfProducts) -> bool:
     return find_reducible(rep) is None
 
 
-def reduce_rep(rep: SumOfProducts) -> SumOfProducts:
+def reduce_rep(rep: SumOfProducts | list[Monomial]) -> SumOfProducts:
     """Delete absorbable summands until none remain, in one pass.
 
     Summands are visited in nondecreasing size (stably, so copies in input
@@ -140,12 +151,12 @@ def reduce_rep(rep: SumOfProducts) -> SumOfProducts:
 
 
 def normalize(t: Term) -> SumOfProducts:
-    """The unique reduced form of t: reduce_rep(flatten(t)).
+    """The unique reduced form of t, which flatten computes.
 
     >>> rep_text(normalize(parse("x+y+x*y*z")))
     'x1+x2'
     """
-    return reduce_rep(flatten(t))
+    return flatten(t)
 
 
 def to_term(rep: SumOfProducts) -> Term:
@@ -168,9 +179,8 @@ def rep_text(rep: SumOfProducts) -> str:
     """Canonical text: monomials joined by '+', empty monomial '1', empty sum '0'."""
     if not rep:
         return "0"
-    return "+".join(
-        "*".join(f"x{i}" for i in sorted(m)) if m else "1" for m in rep
-    )
+    name = {i: f"x{i}" for i in frozenset().union(*rep)}.__getitem__
+    return "+".join("*".join(map(name, sorted(m))) if m else "1" for m in rep)
 
 
 def decide_equal(t: Term, u: Term) -> bool:

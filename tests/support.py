@@ -1,5 +1,6 @@
-"""Shared test helpers: independent mini-evaluator, term generators, random
-tables, the exhaustive congruence oracle and the clone closure in rounds.
+"""Shared test helpers: independent mini-evaluator, term generators, the
+unreduced expansion of a term, random tables, the exhaustive congruence
+oracle and the clone closure in rounds.
 
 Everything here is deliberately self-contained so that oracle-based tests do
 not exercise the code paths they are checking: the evaluator works over
@@ -91,6 +92,25 @@ def terms_strategy(max_index: int = 3, max_leaves: int = 20):
         ),
         max_leaves=max_leaves,
     )
+
+
+def expand(t: Term) -> list[frozenset[int]]:
+    """The unreduced expansion of t into monomials, by structural recursion:
+    a sum concatenates, a product takes every union of a left and a right
+    monomial.  Independent of misr.flatten, which reduces as it goes."""
+    match t:
+        case Zero():
+            return []
+        case One():
+            return [frozenset()]
+        case Var(i):
+            return [frozenset((i,))]
+        case Add(l, r):
+            return expand(l) + expand(r)
+        case Mul(l, r):
+            left, right = expand(l), expand(r)
+            return [a | b for a in left for b in right]
+    raise TypeError(f"not a term: {t!r}")
 
 
 # --- random tables ------------------------------------------------------------

@@ -37,10 +37,10 @@ from misr import (
     direct_product,
     enumerate_reduced,
     eval_term,
-    flatten,
     holds,
     is_subdirectly_irreducible,
     lplus1,
+    monomial_key,
     normalize,
     parse,
     parse_identity,
@@ -52,6 +52,7 @@ from support import (
     T3_LABELS,
     T3_MUL,
     eval_labels,
+    expand,
     random_term,
     si_by_exhaustion,
     t3_agree,
@@ -159,9 +160,12 @@ def test_criterion_5_confluence_of_deletion_order():
     rng = Random(5)
     trials = 500
     ok = True
+    deleting = 0
     for _ in range(trials):
         t = random_term(rng, 20, 3)
-        rep = list(flatten(t))
+        # from the unreduced expansion: normalize's output has nothing to delete
+        rep = expand(t)
+        size = len(rep)
         while True:
             candidates = [
                 k
@@ -171,9 +175,11 @@ def test_criterion_5_confluence_of_deletion_order():
             if not candidates:
                 break
             del rep[rng.choice(candidates)]
-        ok = ok and tuple(rep) == normalize(t)
+        deleting += len(rep) < size
+        ok = ok and tuple(sorted(rep, key=monomial_key)) == normalize(t)
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 5.0
+    # 142 of these 500 trials delete at least one summand
+    ok = ok and elapsed < 5.0 and deleting >= trials // 5
     _verdict(5, "500 random terms: any deletion order, same normal form", ok)
     assert ok
 

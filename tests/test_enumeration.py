@@ -153,6 +153,13 @@ def test_clone_count_agrees_with_closure_in_rounds():
         assert clone_count(alg, n) == clone_count_by_rounds(alg, n), (alg, n)
 
 
+def test_clone_count_stops_at_the_full_clone():
+    # a non-commutative table on 4 elements whose unary term functions are
+    # all 4^4 functions; the closure has nothing left to find once it holds them
+    alg = random_tables(Random(20261021), 4, False)
+    assert clone_count(alg, 1) == clone_count_by_rounds(alg, 1) == 4**4
+
+
 @pytest.mark.parametrize(
     "k, n", [(2, n) for n in range(4)] + [(3, n) for n in range(4)] + [(4, n) for n in range(3)]
 )

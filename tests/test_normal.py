@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -9,16 +10,15 @@ from hypothesis import strategies as st
 
 from misr import (
     Add,
-    Mul,
-    One,
     Var,
-    Zero,
+    boolean_lattice,
     builtin,
     decide_equal,
     eval_term,
     find_reducible,
     flatten,
     is_reduced,
+    lplus1,
     monomial_key,
     monomial_leq,
     normalize,
@@ -33,6 +33,7 @@ from support import (
     T3_LABELS,
     T3_MUL,
     eval_labels,
+    expand,
     random_term,
     t3_agree,
     terms_strategy,
@@ -87,41 +88,68 @@ def test_flatten_output_is_sorted(t):
     assert keys == sorted(keys)
 
 
-def reference_monomials(t):
-    # the recursive expansion flatten replaced, kept as its reference
-    match t:
-        case Zero():
-            return []
-        case One():
-            return [frozenset()]
-        case Var(i):
-            return [frozenset((i,))]
-        case Add(l, r):
-            return reference_monomials(l) + reference_monomials(r)
-        case Mul(l, r):
-            left, right = reference_monomials(l), reference_monomials(r)
-            return [a | b for a in left for b in right]
-    raise TypeError(f"not a term: {t!r}")
+def reduced_expansion(t):
+    return reduce_rep(sorted(expand(t), key=monomial_key))
 
 
 def test_flatten_agrees_with_recursive_reference():
     rng = Random(20261019)
     for _ in range(2000):
         t = random_term(rng, rng.randint(1, 40), rng.randint(0, 6))
-        assert flatten(t) == tuple(sorted(reference_monomials(t), key=monomial_key))
+        assert flatten(t) == reduced_expansion(t)
+
+
+@given(terms_strategy(max_index=5, max_leaves=30))
+def test_flatten_agrees_with_reduced_expansion(t):
+    assert flatten(t) == reduced_expansion(t)
 
 
 @pytest.mark.parametrize("name", ["s3", "gf2", "two"])
 @given(t=terms_strategy())
 def test_flatten_sound_in_commutative_idempotent_models(name, t):
-    # flattening uses only laws that hold in every commutative
-    # multiplicatively idempotent semiring, so it must preserve value in
-    # s3, gf2, and the two-element lattice as well
+    # the expansion that flatten reduces uses only laws that hold in every
+    # commutative multiplicatively idempotent semiring, so it preserves
+    # value in s3, gf2 and the two-element lattice as well
     alg = builtin(name)
+    u = to_term(expand(t))
+    for point in itertools.product(range(alg.size), repeat=3):
+        env = {i + 1: point[i] for i in range(3)}
+        assert eval_term(alg, t, env) == eval_term(alg, u, env)
+
+
+@pytest.mark.parametrize(
+    "alg", [builtin("t3"), builtin("two"), lplus1(boolean_lattice(2))], ids=["t3", "two", "lplus1_b2"]
+)
+@given(t=terms_strategy())
+def test_flatten_sound_in_members_of_the_variety(alg, t):
+    # flatten also deletes absorbed summands, which preserves value only in
+    # models of the absorption law
     u = to_term(flatten(t))
     for point in itertools.product(range(alg.size), repeat=3):
         env = {i + 1: point[i] for i in range(3)}
         assert eval_term(alg, t, env) == eval_term(alg, u, env)
+
+
+def test_flatten_reduces_2_to_the_60_summands():
+    assert flatten(parse("*".join(["(1+1)"] * 60))) == (E, E)
+
+
+def test_flatten_product_of_30_units_is_linear():
+    t = parse("*".join(f"(1+x{i})" for i in range(1, 31)))
+    assert flatten(t) == (E,) + tuple(m(i) for i in range(1, 31))
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_long_sums_normalize_in_linear_time(nesting):
+    # a sum is concatenated, not reduced, so 16 000 summands take one pass
+    # nested either way; reducing at every sum took tens of seconds
+    t = Var(1)
+    for i in range(1, 16_000):
+        t = Add(t, Var(i % 100 + 1)) if nesting == "left" else Add(Var(i % 100 + 1), t)
+    t0 = time.perf_counter()
+    rep = normalize(t)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep == tuple(m(i) for i in range(1, 101) for _ in range(2))
 
 
 # --- find_reducible / reduce -------------------------------------------------
@@ -195,15 +223,19 @@ def test_reduce_keeps_antichain_of_1024_products():
 
 
 def test_reduce_product_of_units_to_linear_sum():
-    rep = flatten(parse("*".join(f"(1+x{i})" for i in range(1, 11))))
+    t = parse("*".join(f"(1+x{i})" for i in range(1, 11)))
+    rep = tuple(sorted(expand(t), key=monomial_key))
     assert len(rep) == 1024
     assert reduce_rep(rep) == (E,) + tuple(m(i) for i in range(1, 11))
+    assert flatten(t) == reduce_rep(rep)
 
 
 def test_reduce_64_copies_of_one_to_two():
-    rep = flatten(parse("((1+1)*((1+1)+(1+1)))*((1+1)*((1+1)+(1+1)))"))
+    t = parse("((1+1)*((1+1)+(1+1)))*((1+1)*((1+1)+(1+1)))")
+    rep = tuple(expand(t))
     assert rep == (E,) * 64
     assert reduce_rep(rep) == (E, E)
+    assert flatten(t) == (E, E)
 
 
 # --- normalize ---------------------------------------------------------------
@@ -245,12 +277,8 @@ def test_normalize_preserves_t3_value(t):
     assert t3_agree(t, to_term(normalize(t)))
 
 
-@given(terms_strategy())
-# flattens to 64 copies of the empty monomial, so the oracle must delete 62
-# positions; pinned so that the deadline is checked on it on every run
-@example(parse("((1+1)*((1+1)+(1+1)))*((1+1)*((1+1)+(1+1)))"))
-def test_randomized_deletion_order_reaches_same_form(t):
-    rng = Random(to_text(t))
+def test_randomized_deletion_order_reaches_same_form():
+    deleted = []
 
     def deletable(rep):
         # a triple (i, j, k) exists iff two other positions lie inside
@@ -261,13 +289,25 @@ def test_randomized_deletion_order_reaches_same_form(t):
             if sum(p != k and rep[p] <= rep[k] for p in range(len(rep))) >= 2
         ]
 
-    rep = list(flatten(t))
-    while True:
-        positions = deletable(rep)
-        if not positions:
-            break
-        del rep[rng.choice(positions)]
-    assert tuple(rep) == normalize(t)
+    @given(terms_strategy())
+    # expands to 64 copies of the empty monomial, so the walk must delete
+    # 62 positions; pinned so that the deadline is checked on it on every run
+    @example(parse("((1+1)*((1+1)+(1+1)))*((1+1)*((1+1)+(1+1)))"))
+    @example(parse("x+x+x"))
+    def walk(t):
+        # from the unreduced expansion: flatten's output is already reduced
+        # and would leave nothing to delete
+        rng = Random(to_text(t))
+        rep = expand(t)
+        size = len(rep)
+        while positions := deletable(rep):
+            del rep[rng.choice(positions)]
+        deleted.append(len(rep) < size)
+        assert tuple(sorted(rep, key=monomial_key)) == normalize(t)
+
+    walk()
+    # the two pinned examples always delete, and 4-30% of the random terms do
+    assert sum(deleted) >= 2
 
 
 # --- to_term / rep_text / decide_equal ---------------------------------------
