@@ -28,14 +28,11 @@ from .normal import (
     decide_equal,
     find_reducible,
     flatten,
-    is_reduced,
     monomial_key,
-    monomial_leq,
     monomials_over,
     normalize,
     reduce_rep,
     rep_text,
-    to_term,
 )
 from .algebras import (
     ABSORPTION_LAW,
@@ -44,11 +41,9 @@ from .algebras import (
     AxiomReport,
     BOOLEAN_LAW,
     BUILTIN_NAMES,
-    DOUBLE_PRODUCT_ABSORPTION,
     FiniteSemiring,
     Identity,
     MUL_IDEMPOTENCE,
-    PRODUCT_ABSORPTION,
     boolean_lattice,
     builtin,
     check_axioms,
@@ -69,10 +64,8 @@ from .congruences import (
 )
 from .enumeration import (
     DEFAULT_ARITY_CAP,
-    FreeSpectrumEntry,
     clone_count,
     enumerate_reduced,
-    free_spectrum,
 )
 
 __version__ = "0.1.0"

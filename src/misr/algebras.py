@@ -50,12 +50,6 @@ class FiniteSemiring:
     def size(self) -> int:
         return len(self.elements)
 
-    def plus(self, i: int, j: int) -> int:
-        return self.add[i][j]
-
-    def times(self, i: int, j: int) -> int:
-        return self.mul[i][j]
-
     def index(self, label: str) -> int:
         try:
             return self.elements.index(label)
@@ -170,10 +164,6 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     return True, None
 
 
-PRODUCT_ABSORPTION = parse_identity("1+x+x*y = 1+x", "product-absorption")
-DOUBLE_PRODUCT_ABSORPTION = parse_identity(
-    "1+x+x*y+x*y = 1+x", "double-product-absorption"
-)
 MUL_IDEMPOTENCE = parse_identity("x*x = x", "mul-idempotent")
 BOOLEAN_LAW = parse_identity("1+x+x = 1", "boolean-law")
 ABSORPTION_LAW = parse_identity("x+y+x*y*z = x+y", "absorption-law")

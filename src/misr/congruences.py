@@ -46,10 +46,6 @@ class Partition:
         return Partition(size, tuple(canon))
 
     @staticmethod
-    def discrete(size: int) -> "Partition":
-        return Partition(size, tuple((x,) for x in range(size)))
-
-    @staticmethod
     def full(size: int) -> "Partition":
         return Partition(size, (tuple(range(size)),))
 
@@ -69,14 +65,6 @@ class Partition:
         if other.size != self.size:
             raise ValueError("partition sizes differ")
         return _by_label(list(zip(self._block_of, other._block_of)))
-
-    def refines(self, other: "Partition") -> bool:
-        """Every block of self lies inside a block of other."""
-        if other.size != self.size:
-            raise ValueError("partition sizes differ")
-        return all(
-            other.same(block[0], x) for block in self.blocks for x in block[1:]
-        )
 
     @property
     def is_discrete(self) -> bool:

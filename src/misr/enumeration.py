@@ -14,7 +14,6 @@ genuine cross-check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebras import FiniteSemiring, _sides
 from .normal import SumOfProducts, monomials_over, rep_text
@@ -94,17 +93,3 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
                     todo.append(h)
     return len(known)
 
-
-@dataclass(frozen=True)
-class FreeSpectrumEntry:
-    arity: int
-    count: int
-    reps: tuple[SumOfProducts, ...] | None = None
-
-
-def free_spectrum(
-    n: int, include_reps: bool = False, cap: int = DEFAULT_ARITY_CAP
-) -> FreeSpectrumEntry:
-    """Size of the free algebra on n generators (with the forms on request)."""
-    reps = enumerate_reduced(n, cap)
-    return FreeSpectrumEntry(n, len(reps), tuple(reps) if include_reps else None)

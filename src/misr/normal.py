@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .terms import Add, Mul, One, Term, Var, ZERO, ONE, parse, postfix
+from .terms import One, Term, Var, parse, postfix
 
 Monomial = frozenset[int]
 SumOfProducts = tuple[Monomial, ...]
@@ -34,11 +34,6 @@ def monomials_over(n: int) -> tuple[Monomial, ...]:
         for r in range(n + 1)
         for c in itertools.combinations(range(1, n + 1), r)
     )
-
-
-def monomial_leq(i: Monomial, j: Monomial) -> bool:
-    """Total order on monomials: |I| < |J|, or equal size and lexicographically smaller."""
-    return monomial_key(i) <= monomial_key(j)
 
 
 def flatten(t: Term) -> SumOfProducts:
@@ -85,7 +80,6 @@ def find_reducible(rep: SumOfProducts) -> tuple[int, int, int] | None:
     I_i ∪ I_j ⊆ I_k.  Deterministic strategy: k is the largest position
     participating in any such triple, i and j are the two smallest
     positions (other than k) whose monomials are contained in I_k.
-    Used by is_reduced; reduce_rep and enumerate_reduced do not need it.
     """
     for k in range(len(rep) - 1, -1, -1):
         first = -1
@@ -96,10 +90,6 @@ def find_reducible(rep: SumOfProducts) -> tuple[int, int, int] | None:
                 else:
                     return (first, p, k)
     return None
-
-
-def is_reduced(rep: SumOfProducts) -> bool:
-    return find_reducible(rep) is None
 
 
 def reduce_rep(rep: SumOfProducts | list[Monomial]) -> SumOfProducts:
@@ -157,22 +147,6 @@ def normalize(t: Term) -> SumOfProducts:
     'x1+x2'
     """
     return flatten(t)
-
-
-def to_term(rep: SumOfProducts) -> Term:
-    """Left-associated sum of left-associated ascending products."""
-    if not rep:
-        return ZERO
-    total: Term | None = None
-    for mono in rep:
-        prod: Term | None = None
-        for i in sorted(mono):
-            prod = Var(i) if prod is None else Mul(prod, Var(i))
-        if prod is None:
-            prod = ONE
-        total = prod if total is None else Add(total, prod)
-    assert total is not None
-    return total
 
 
 def rep_text(rep: SumOfProducts) -> str:

@@ -108,7 +108,7 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
             tokens.append((c, None, col))
         elif c == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":  # not isdigit: it accepts ² and ٣
                 j += 1
             if j == i + 1:
                 tokens.append(("var", 1, col))

@@ -45,7 +45,6 @@ from misr import (
     parse,
     parse_identity,
     rep_text,
-    to_term,
 )
 from support import (
     T3_ADD,
@@ -269,7 +268,7 @@ def test_bijection_into_function_tables():
     for n in range(3):
         tables = set()
         for rep in enumerate_reduced(n):
-            t = to_term(rep)
+            t = parse(rep_text(rep))
             tab = tuple(
                 eval_term(T3, t, dict(zip(range(1, n + 1), pt)))
                 for pt in itertools.product(range(3), repeat=n)

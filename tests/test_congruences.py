@@ -64,10 +64,12 @@ def test_partition_must_cover_carrier():
 def test_partition_meet_and_refines():
     p = Partition.from_blocks(4, [[0, 1], [2, 3]])
     q = Partition.from_blocks(4, [[0, 2], [1, 3]])
-    assert p.meet(q) == Partition.discrete(4)
-    assert Partition.discrete(4).refines(p)
-    assert p.refines(Partition.full(4))
-    assert not p.refines(q)
+    discrete = Partition.from_blocks(4, [[x] for x in range(4)])
+    # p refines q exactly when p.meet(q) == p
+    assert p.meet(q) == discrete
+    assert discrete.meet(p) == discrete
+    assert p.meet(Partition.full(4)) == p
+    assert p.meet(q) != p
 
 
 def test_partition_render():
@@ -98,7 +100,8 @@ def test_t3_principal_congruence_of_a_and_1():
 def test_self_pair_gives_discrete_partition():
     for alg in SMALL_ALGEBRAS:
         for c in range(alg.size):
-            assert principal_congruence(alg, c, c) == Partition.discrete(alg.size)
+            discrete = Partition.from_blocks(alg.size, [[x] for x in range(alg.size)])
+            assert principal_congruence(alg, c, c) == discrete
 
 
 def test_principal_congruences_are_congruences():
@@ -125,7 +128,7 @@ def test_principal_congruence_is_least():
                 cg = principal_congruence(alg, a, b)
                 for theta in congruences:
                     if theta.same(a, b):
-                        assert cg.refines(theta)
+                        assert cg.meet(theta) == cg
 
 
 # --- subdirect irreducibility -------------------------------------------------

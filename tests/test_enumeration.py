@@ -13,14 +13,12 @@ from misr import (
     enumerate_reduced,
     eval_term,
     find_reducible,
-    free_spectrum,
-    is_reduced,
     lplus1,
     monomial_key,
     monomials_over,
     normalize,
+    parse,
     rep_text,
-    to_term,
 )
 from random import Random
 
@@ -84,18 +82,16 @@ def test_every_listed_rep_is_reduced_and_canonical():
     assert len(subsets) == 16 and list(subsets) == sorted(set(subsets), key=monomial_key)
     for n in range(3):
         for rep in enumerate_reduced(n):
-            assert is_reduced(rep)
+            assert find_reducible(rep) is None
             assert list(rep) == sorted(rep, key=lambda m: (len(m), tuple(sorted(m))))
             for mono in set(rep):
                 assert rep.count(mono) <= 2
-            assert normalize(to_term(rep)) == rep
+            assert normalize(parse(rep_text(rep))) == rep
 
 
 def test_extra_binary_form_is_genuinely_new():
     # x1+x1+x2+x2 induces a t3 function distinct from all classical forms
     def table(text):
-        from misr import parse
-
         t = parse(text)
         return tuple(
             eval_term(T3, t, {1: x, 2: y}) for x in range(3) for y in range(3)
@@ -121,8 +117,8 @@ def test_clone_count_on_two_lattice():
         grew = False
         for f in list(tables):
             for g in list(tables):
-                j = tuple(two.plus(a, b) for a, b in zip(f, g))
-                m = tuple(two.times(a, b) for a, b in zip(f, g))
+                j = tuple(two.add[a][b] for a, b in zip(f, g))
+                m = tuple(two.mul[a][b] for a, b in zip(f, g))
                 for h in (j, m):
                     if h not in tables:
                         tables.add(h)
@@ -173,7 +169,7 @@ def test_listing_is_in_bijection_with_t3_tables():
     for n in range(3):
         seen = set()
         for rep in enumerate_reduced(n):
-            t = to_term(rep)
+            t = parse(rep_text(rep))
             tab = tuple(
                 eval_term(T3, t, dict(zip(range(1, n + 1), point)))
                 for point in __import__("itertools").product(range(3), repeat=n)
@@ -184,12 +180,8 @@ def test_listing_is_in_bijection_with_t3_tables():
 
 
 def test_free_spectrum():
-    entries = [free_spectrum(n) for n in range(4)]
-    assert [(e.arity, e.count) for e in entries] == [(0, 3), (1, 6), (2, 19), (3, 135)]
-    assert all(e.reps is None for e in entries)
-    with_reps = free_spectrum(1, include_reps=True)
-    assert with_reps.reps is not None
-    assert [rep_text(r) for r in with_reps.reps] == UNARY
+    assert [len(enumerate_reduced(n)) for n in range(4)] == [3, 6, 19, 135]
+    assert [rep_text(r) for r in enumerate_reduced(1)] == UNARY
 
 
 def test_arity_cap():
@@ -245,6 +237,6 @@ def test_four_variable_listing():
     assert len(reps) == 4134
     assert len(set(reps)) == 4134
     assert [rep_text(r) for r in reps] == sorted(rep_text(r) for r in reps)
-    assert all(is_reduced(r) for r in reps)
+    assert all(find_reducible(r) is None for r in reps)
     points = list(itertools.product(T3_LABELS, repeat=4))
     assert len({t3_label_table(r, points) for r in reps}) == 4134

@@ -17,15 +17,12 @@ from misr import (
     eval_term,
     find_reducible,
     flatten,
-    is_reduced,
     lplus1,
     monomial_key,
-    monomial_leq,
     normalize,
     parse,
     reduce_rep,
     rep_text,
-    to_term,
     to_text,
 )
 from support import (
@@ -44,28 +41,6 @@ E = frozenset()
 
 def m(*indices: int) -> frozenset[int]:
     return frozenset(indices)
-
-
-# --- ordering ----------------------------------------------------------------
-
-def test_monomial_leq_examples():
-    assert monomial_leq(m(3), m(1, 2))
-    assert monomial_leq(m(1, 3), m(2, 3))
-    assert monomial_leq(E, E)
-    assert not monomial_leq(m(1, 2), m(3))
-
-
-def test_monomial_order_is_total_exhaustively():
-    subsets = [frozenset(c) for r in range(5) for c in itertools.combinations(range(1, 5), r)]
-    for a in subsets:
-        assert monomial_leq(a, a)
-        for b in subsets:
-            assert monomial_leq(a, b) or monomial_leq(b, a)
-            if monomial_leq(a, b) and monomial_leq(b, a):
-                assert a == b
-            for c in subsets:
-                if monomial_leq(a, b) and monomial_leq(b, c):
-                    assert monomial_leq(a, c)
 
 
 # --- flatten -----------------------------------------------------------------
@@ -111,7 +86,7 @@ def test_flatten_sound_in_commutative_idempotent_models(name, t):
     # commutative multiplicatively idempotent semiring, so it preserves
     # value in s3, gf2 and the two-element lattice as well
     alg = builtin(name)
-    u = to_term(expand(t))
+    u = parse(rep_text(expand(t)))
     for point in itertools.product(range(alg.size), repeat=3):
         env = {i + 1: point[i] for i in range(3)}
         assert eval_term(alg, t, env) == eval_term(alg, u, env)
@@ -124,7 +99,7 @@ def test_flatten_sound_in_commutative_idempotent_models(name, t):
 def test_flatten_sound_in_members_of_the_variety(alg, t):
     # flatten also deletes absorbed summands, which preserves value only in
     # models of the absorption law
-    u = to_term(flatten(t))
+    u = parse(rep_text(flatten(t)))
     for point in itertools.product(range(alg.size), repeat=3):
         env = {i + 1: point[i] for i in range(3)}
         assert eval_term(alg, t, env) == eval_term(alg, u, env)
@@ -254,7 +229,7 @@ def test_normalize_accepts_unit_absorption():
 @given(terms_strategy())
 def test_normalize_output_is_reduced_with_low_multiplicity(t):
     rep = normalize(t)
-    assert is_reduced(rep)
+    assert find_reducible(rep) is None
     keys = [monomial_key(mo) for mo in rep]
     assert keys == sorted(keys)
     for mono in set(rep):
@@ -269,12 +244,12 @@ def test_double_unit_absorbs_everything(t):
 @given(terms_strategy())
 def test_normalize_is_idempotent(t):
     rep = normalize(t)
-    assert normalize(to_term(rep)) == rep
+    assert normalize(parse(rep_text(rep))) == rep
 
 
 @given(terms_strategy())
 def test_normalize_preserves_t3_value(t):
-    assert t3_agree(t, to_term(normalize(t)))
+    assert t3_agree(t, parse(rep_text(normalize(t))))
 
 
 def test_randomized_deletion_order_reaches_same_form():
@@ -310,18 +285,12 @@ def test_randomized_deletion_order_reaches_same_form():
     assert sum(deleted) >= 2
 
 
-# --- to_term / rep_text / decide_equal ---------------------------------------
-
-def test_to_term_examples():
-    assert to_text(to_term((m(1), m(2)))) == "x1+x2"
-    assert to_text(to_term(())) == "0"
-    assert to_text(to_term((E, m(1, 2)))) == "1+x1*x2"
-
+# --- rep_text / decide_equal -------------------------------------------------
 
 def test_rep_text_matches_printed_term():
     reps = [(), (E,), (E, E), (m(1),), (m(1), m(1, 2)), (m(2, 5), m(1, 2, 3))]
-    for rep in reps:
-        assert rep_text(rep) == to_text(to_term(rep))
+    texts = ["0", "1", "1+1", "x1", "x1+x1*x2", "x2*x5+x1*x2*x3"]
+    assert [rep_text(rep) for rep in reps] == texts
 
 
 def test_decide_equal_examples():

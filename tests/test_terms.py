@@ -99,6 +99,9 @@ SYNTAX_ERRORS = [
     ("x 1", 3, "unexpected '1'"),
     ("x(", 2, "unexpected '('"),
     ("x y", 3, "unexpected a variable"),
+    # only ASCII digits index a variable; str.isdigit also accepts these
+    ("x²", 2, "unexpected character '²'"),
+    ("x٣+x3", 2, "unexpected character '٣'"),
 ]
 
 
