@@ -19,7 +19,7 @@ from functools import partial
 from typing import Mapping
 
 from .normal import monomials_over
-from .terms import ONE, ZERO, One, Term, Var, parse, postfix, run, variables
+from .terms import ONE, ZERO, One, Term, TermSyntaxError, Var, parse, postfix, run, variables
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,18 @@ class Identity:
 
 
 def parse_identity(text: str, name: str = "") -> Identity:
-    """Parse "lhs = rhs" into an Identity."""
+    """Parse "lhs = rhs" into an Identity; a syntax error's column counts
+    from the start of text on either side."""
     parts = text.split("=")
     if len(parts) != 2:
         raise ValueError("an identity must contain exactly one '='")
-    return Identity(parse(parts[0]), parse(parts[1]), name)
+    lhs, rhs = parts
+    left = parse(lhs)
+    try:
+        right = parse(rhs)
+    except TermSyntaxError as exc:
+        raise TermSyntaxError(exc.message, exc.position + len(lhs) + 1) from None
+    return Identity(left, right, name)
 
 
 # Most points one block of holds sweeps.  Blocks keep the masks short: one

@@ -9,6 +9,7 @@ stderr, and output is deterministic byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebras import (
@@ -227,10 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on main's first call: building is most of an in-process call's time
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

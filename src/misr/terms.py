@@ -88,7 +88,7 @@ class TermSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (column {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 _ALIASES = {"x": 1, "y": 2, "z": 3}
@@ -176,7 +176,11 @@ def parse(text: str) -> Term:
             return t
         raise TermSyntaxError(f"expected a term, found {_describe(kind)}", col)
 
-    t = parse_sum()
+    # the parsers refer to each other: a cycle holding the tokens until deleted
+    try:
+        t = parse_sum()
+    finally:
+        del parse_sum, parse_product, parse_atom
     kind, _, col = peek()
     if kind != "end":
         raise TermSyntaxError(f"unexpected {_describe(kind)}", col)

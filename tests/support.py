@@ -1,6 +1,6 @@
 """Shared test helpers: independent mini-evaluator, term generators, the
 unreduced expansion of a term, random tables, the exhaustive congruence
-oracle and the clone closure in rounds.
+oracle, the clone closure in rounds and a check for cyclic garbage.
 
 Everything here is deliberately self-contained so that oracle-based tests do
 not exercise the code paths they are checking: the evaluator works over
@@ -9,6 +9,8 @@ label-keyed dict tables, and the congruence oracle enumerates raw partitions.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 from collections import deque
 from random import Random
@@ -296,3 +298,19 @@ def clone_count_by_rounds(alg, n: int) -> int:
                         fresh.append(h)
         frontier = fresh
     return len(known)
+
+
+# --- garbage that only the cyclic collector frees -------------------------------
+
+@contextlib.contextmanager
+def no_cyclic_garbage():
+    """Run the body with the cyclic collector off, then assert that it left
+    nothing behind that only that collector can free: everything the body
+    dropped was freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -17,6 +17,7 @@ from misr import (
     Identity,
     Mul,
     ONE,
+    TermSyntaxError,
     Var,
     ZERO,
     boolean_lattice,
@@ -199,6 +200,21 @@ def test_parse_identity():
         parse_identity("x+y")
     with pytest.raises(ValueError):
         parse_identity("x = y = z")
+
+
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        ("x+*y = x", 3, "expected a term, found '*'"),  # lhs columns need no shift
+        ("x + y = y+*x", 11, "expected a term, found '*'"),
+        ("x =", 4, "expected a term, found end of input"),
+    ],
+)
+def test_parse_identity_error_columns_count_from_the_identity(text, column, message):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_identity(text)
+    assert exc.value.position == column
+    assert str(exc.value) == f"{message} (column {column})"
 
 
 def test_closed_identity():

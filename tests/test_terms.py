@@ -27,7 +27,7 @@ from misr import (
     to_text,
     variables,
 )
-from support import random_term, terms_strategy
+from support import no_cyclic_garbage, random_term, terms_strategy
 
 x1, x2, x3 = Var(1), Var(2), Var(3)
 
@@ -114,6 +114,13 @@ def test_syntax_errors_carry_positions(text, column, message):
         parse(text)
     assert exc.value.position == column
     assert str(exc.value) == f"{message} (column {column})"
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    with no_cyclic_garbage():
+        parse("(x+y)*z+1")
+    with no_cyclic_garbage(), pytest.raises(TermSyntaxError):
+        parse("x*(y+")
 
 
 def test_to_text_examples():
