@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from misr import (
+    BUILTIN_NAMES,
     FiniteSemiring,
     boolean_lattice,
     builtin,
+    check_axioms,
     clone_count,
     direct_product,
     enumerate_reduced,
@@ -105,6 +108,8 @@ def test_clone_counts_on_t3():
     assert clone_count(T3, 0) == 3
     assert clone_count(T3, 1) == 6
     assert clone_count(T3, 2) == 19
+    assert clone_count(T3, 3) == 135
+    assert clone_count(T3, 4) == len(enumerate_reduced(4, cap=4)) == 4134
 
 
 def test_clone_count_on_two_lattice():
@@ -134,7 +139,14 @@ def test_clone_count_agrees_with_closure_in_rounds():
     # and 5 bits (the 17 elements of lplus1(B_4))
     rng = Random(20261020)
     one = FiniteSemiring("one", ("0",), ((0,),), ((0,),), 0, 0)
-    cases = [(builtin(name), n) for name in ("two", "gf2", "t3", "s3") for n in range(3)]
+    # the 3-element chain with + as max and x*y = x: a semiring whose * is
+    # not commutative
+    max_add, left_mul = ((0, 1, 2), (1, 1, 2), (2, 2, 2)), ((0,) * 3, (1,) * 3, (2,) * 3)
+    chain = FiniteSemiring("chain", ("0", "a", "1"), max_add, left_mul, 0, 2)
+    cases = [(builtin(name), n) for name in ("two", "gf2", "t3", "s3") for n in range(4)]
+    cases += [(builtin("gf3"), n) for n in range(2)] + [(chain, n) for n in range(4)]
+    for a, b in itertools.combinations_with_replacement(BUILTIN_NAMES, 2):
+        cases += [(direct_product(builtin(a), builtin(b)), n) for n in range(2)]
     cases += [(one, n) for n in range(4)] + [(lplus1(boolean_lattice(4)), n) for n in range(2)]
     for i in range(300):
         alg = random_tables(rng, rng.randint(2, 3), i % 2 == 0)
@@ -149,6 +161,28 @@ def test_clone_count_agrees_with_closure_in_rounds():
         assert clone_count(alg, n) == clone_count_by_rounds(alg, n), (alg, n)
 
 
+@pytest.mark.parametrize(
+    "name, table, cell, broken",
+    [
+        ("t3", "add", ("a", "1", "1"), "add-associative"),
+        ("t3", "mul", ("a", "1", "1"), "distributive-right"),
+        ("t3", "mul", ("1", "a", "1"), "distributive-left"),
+        ("s3", "mul", ("0", "a", "1"), "mul-associative"),
+    ],
+)
+def test_clone_count_checks_every_law_of_sums_of_products(name, table, cell, broken):
+    # one changed cell breaks exactly one of the four laws under which the
+    # term functions are sums of products; counting them so would be wrong
+    alg = builtin(name)
+    x, y, v = (alg.index(label) for label in cell)
+    rows = [list(row) for row in getattr(alg, table)]
+    rows[x][y] = v
+    alg = replace(alg, **{table: tuple(map(tuple, rows))})
+    laws = ("add-associative", "mul-associative", "distributive-left", "distributive-right")
+    assert [law for law in laws if not check_axioms(alg).ok(law)] == [broken]
+    assert clone_count(alg, 2) == clone_count_by_rounds(alg, 2)
+
+
 def test_clone_count_stops_at_the_full_clone():
     # a non-commutative table on 4 elements whose unary term functions are
     # all 4^4 functions; the closure has nothing left to find once it holds them
@@ -157,12 +191,12 @@ def test_clone_count_stops_at_the_full_clone():
 
 
 @pytest.mark.parametrize(
-    "k, n", [(2, n) for n in range(4)] + [(3, n) for n in range(4)] + [(4, n) for n in range(3)]
+    "k, n", [(2, n) for n in range(5)] + [(3, n) for n in range(5)] + [(4, n) for n in range(4)]
 )
 def test_lplus1_generates_the_variety(k, n):
     # a single semiring generates the variety: the term functions of
     # lplus1(B_k) are as many as the reduced forms
-    assert clone_count(lplus1(boolean_lattice(k)), n) == len(enumerate_reduced(n))
+    assert clone_count(lplus1(boolean_lattice(k)), n) == len(enumerate_reduced(n, cap=4))
 
 
 def test_listing_is_in_bijection_with_t3_tables():
