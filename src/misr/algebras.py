@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Mapping
 
 from .normal import monomials_over
@@ -49,6 +49,13 @@ class FiniteSemiring:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _sums_of_products(self) -> bool:
+        """Do both associative and both distributive laws hold?  Then every
+        term function is a sum of products of generators (see clone_count)."""
+        laws = ("add-associative", "mul-associative", "distributive-left", "distributive-right")
+        return all(holds(self, law)[0] for law in _SEMIRING_AXIOMS if law.name in laws)
 
     def index(self, label: str) -> int:
         try:

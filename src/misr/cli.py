@@ -26,7 +26,7 @@ from .algebras import (
     parse_identity,
 )
 from .congruences import is_subdirectly_irreducible
-from .enumeration import DEFAULT_ARITY_CAP, enumerate_reduced
+from .enumeration import DEFAULT_ARITY_CAP, _listing
 from .normal import normalize, rep_text
 from .terms import Term, TermSyntaxError, Var, parse, term_size
 
@@ -153,11 +153,12 @@ def _cmd_si(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    reps = enumerate_reduced(args.n, cap=args.max_arity)
+    reps, text = _listing(args.n, args.max_arity)
     print(len(reps))
     if args.list:
-        for rep in reps:
-            print(rep_text(rep))
+        # sorting the texts orders them as enumerate_reduced orders the forms
+        for line in sorted(map(text, reps)):
+            print(line.decode())
     return 0
 
 

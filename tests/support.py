@@ -1,6 +1,7 @@
 """Shared test helpers: independent mini-evaluator, term generators, the
 unreduced expansion of a term, random tables, the exhaustive congruence
-oracle, the clone closure in rounds and a check for cyclic garbage.
+oracle, the clone closure in rounds, the listing of reduced forms by
+placement and a check for cyclic garbage.
 
 Everything here is deliberately self-contained so that oracle-based tests do
 not exercise the code paths they are checking: the evaluator works over
@@ -17,7 +18,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from misr import Add, FiniteSemiring, Mul, One, ONE, Term, Var, Zero, ZERO
+from misr import Add, FiniteSemiring, Mul, One, ONE, Term, Var, Zero, ZERO, monomials_over, rep_text
 
 # The three-element chain model used as the equality oracle, transcribed
 # independently of the package's builtin tables.
@@ -298,6 +299,19 @@ def clone_count_by_rounds(alg, n: int) -> int:
                         fresh.append(h)
         frontier = fresh
     return len(known)
+
+
+# --- reduced forms by placement -----------------------------------------------
+
+def enumerate_by_placement(n: int) -> list[tuple[frozenset[int], ...]]:
+    """The reduced forms over x1..xn, sorted by rep_text, built level by
+    level: each monomial in turn is appended to every form built so far, in
+    as many copies as leave fewer than two other positions inside each."""
+    reps: list[tuple[frozenset[int], ...]] = [()]
+    for m in monomials_over(n):
+        reps = [r + (m,) * c for r in reps for c in range(3 - min(2, sum(p < m for p in r)))]
+    reps.sort(key=rep_text)
+    return reps
 
 
 # --- garbage that only the cyclic collector frees -------------------------------

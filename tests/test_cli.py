@@ -14,7 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from misr import BUILTIN_NAMES, builtin, format_algebra, direct_product, parse_algebra, parse
+from misr import (
+    BUILTIN_NAMES,
+    builtin,
+    direct_product,
+    enumerate_reduced,
+    format_algebra,
+    parse,
+    parse_algebra,
+    rep_text,
+)
 from misr.cli import main
 from support import T3_ADD, T3_MUL, eval_labels, lplus1_monolith
 
@@ -222,6 +231,12 @@ def test_enumerate_list(capsys):
     assert out.splitlines() == ["6", "0", "1", "1+1", "1+x1", "x1", "x1+x1"]
 
 
+def test_enumerate_list_prints_the_library_order(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "-n", "3", "--list")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["135"] + [rep_text(r) for r in enumerate_reduced(3)]
+
+
 def test_enumerate_over_cap(capsys):
     code, out, err = run_cli(capsys, "enumerate", "-n", "4")
     assert code == 2
@@ -241,6 +256,14 @@ def test_enumerate_lowered_cap(capsys):
     code, _, err = run_cli(capsys, "enumerate", "-n", "2", "--max-arity", "1")
     assert code == 2
     assert "exceeds" in err
+
+
+@pytest.mark.parametrize("n", ["6", "40"])
+def test_enumerate_above_five_variables(capsys, n):
+    code, out, err = run_cli(capsys, "enumerate", "-n", n, "--max-arity", n, "--list")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: arity {n} exceeds 5, the largest that can be listed\n"
 
 
 # --- build-lplus1 --------------------------------------------------------------------

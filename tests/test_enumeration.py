@@ -25,7 +25,14 @@ from misr import (
 )
 from random import Random
 
-from support import T3_ADD, T3_LABELS, T3_MUL, clone_count_by_rounds, random_tables
+from support import (
+    T3_ADD,
+    T3_LABELS,
+    T3_MUL,
+    clone_count_by_rounds,
+    enumerate_by_placement,
+    random_tables,
+)
 
 T3 = builtin("t3")
 
@@ -132,12 +139,28 @@ def test_clone_count_on_two_lattice():
     assert clone_count(two, 1) == 3
 
 
+def seeded_cases():
+    """Random tables, each with the arities at which the closure cross-check
+    counts it."""
+    rng = Random(20261020)
+    cases = []
+    for i in range(300):
+        alg = random_tables(rng, rng.randint(2, 3), i % 2 == 0)
+        cases += [(alg, n) for n in range(4 - alg.size)]
+    for i in range(20):
+        alg = random_tables(rng, rng.randint(4, 5), i % 2 == 0)
+        cases += [(alg, n) for n in range(6 - alg.size)]
+        # 6 elements in 3-bit digits, with at most 4 * 27 unary functions
+        alg = direct_product(random_tables(rng, 2, i % 2 == 0), random_tables(rng, 3, i % 2 == 0))
+        cases += [(alg, n) for n in range(2)]
+    return cases
+
+
 def test_clone_count_agrees_with_closure_in_rounds():
     # half of the random tables are non-commutative, so that a closure
     # missing g+f or g*f for f+g or f*g gives a different count; the sizes
     # give digits of 1 bit (k = 1, 2), 2 bits (k = 3, 4), 3 bits (k = 5, 6)
     # and 5 bits (the 17 elements of lplus1(B_4))
-    rng = Random(20261020)
     one = FiniteSemiring("one", ("0",), ((0,),), ((0,),), 0, 0)
     # the 3-element chain with + as max and x*y = x: a semiring whose * is
     # not commutative
@@ -148,16 +171,7 @@ def test_clone_count_agrees_with_closure_in_rounds():
     for a, b in itertools.combinations_with_replacement(BUILTIN_NAMES, 2):
         cases += [(direct_product(builtin(a), builtin(b)), n) for n in range(2)]
     cases += [(one, n) for n in range(4)] + [(lplus1(boolean_lattice(4)), n) for n in range(2)]
-    for i in range(300):
-        alg = random_tables(rng, rng.randint(2, 3), i % 2 == 0)
-        cases += [(alg, n) for n in range(4 - alg.size)]
-    for i in range(20):
-        alg = random_tables(rng, rng.randint(4, 5), i % 2 == 0)
-        cases += [(alg, n) for n in range(6 - alg.size)]
-        # 6 elements in 3-bit digits, with at most 4 * 27 unary functions
-        alg = direct_product(random_tables(rng, 2, i % 2 == 0), random_tables(rng, 3, i % 2 == 0))
-        cases += [(alg, n) for n in range(2)]
-    for alg, n in cases:
+    for alg, n in cases + seeded_cases():
         assert clone_count(alg, n) == clone_count_by_rounds(alg, n), (alg, n)
 
 
@@ -177,10 +191,27 @@ def test_clone_count_checks_every_law_of_sums_of_products(name, table, cell, bro
     x, y, v = (alg.index(label) for label in cell)
     rows = [list(row) for row in getattr(alg, table)]
     rows[x][y] = v
+    # the original's verdict, memoized first, must not carry over to the copy
+    assert clone_count(alg, 2) == clone_count_by_rounds(alg, 2)
     alg = replace(alg, **{table: tuple(map(tuple, rows))})
     laws = ("add-associative", "mul-associative", "distributive-left", "distributive-right")
     assert [law for law in laws if not check_axioms(alg).ok(law)] == [broken]
     assert clone_count(alg, 2) == clone_count_by_rounds(alg, 2)
+
+
+def test_sums_of_products_verdict_is_the_law_check():
+    laws = ("add-associative", "mul-associative", "distributive-left", "distributive-right")
+    algebras = [builtin(name) for name in BUILTIN_NAMES]
+    algebras += [direct_product(a, b) for a in algebras for b in algebras]
+    algebras += dict.fromkeys(alg for alg, _ in seeded_cases())
+    for alg in algebras:
+        expected = all(check_axioms(alg).ok(law) for law in laws)
+        assert alg._sums_of_products is expected, alg
+        assert alg.__dict__["_sums_of_products"] is expected, alg  # memoized
+        # the memo stays out of the fields, equality, hashing and repr
+        copy = replace(alg)
+        assert copy == alg and hash(copy) == hash(alg) and repr(copy) == repr(alg)
+        assert "_sums_of_products" not in copy.__dict__
 
 
 def test_clone_count_stops_at_the_full_clone():
@@ -230,6 +261,21 @@ def test_arity_cap():
 
 def test_three_variable_count():
     assert len(enumerate_reduced(3)) == 135
+
+
+def test_no_listing_above_five_variables():
+    # F(6) has 125 176 288 470 forms: no cap admits it, and the refusal
+    # comes before any work
+    for n in (6, 7, 10**9):
+        with pytest.raises(ValueError, match="exceeds 5"):
+            enumerate_reduced(n, cap=n)
+
+
+# --- the walk against the placement it replaced -----------------------------------
+
+@pytest.mark.parametrize("n", range(5))
+def test_walk_agrees_with_placement(n):
+    assert enumerate_reduced(n, cap=4) == enumerate_by_placement(n)
 
 
 # --- the construction against the filter it replaced ------------------------------
