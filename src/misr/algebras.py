@@ -37,6 +37,9 @@ class FiniteSemiring:
             raise ValueError("carrier must be non-empty")
         if len(set(self.elements)) != n:
             raise ValueError("duplicate element labels")
+        for word in (self.name, *self.elements):
+            if word.split() != [word]:  # format_algebra writes space-separated words
+                raise ValueError(f"name or label {word!r} is empty or has whitespace")
         for table, what in ((self.add, "add"), (self.mul, "mul")):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"{what} table must be {n}x{n}")

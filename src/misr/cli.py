@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .algebras import (
@@ -57,14 +58,16 @@ def _resolve_algebra(spec: str) -> FiniteSemiring:
 
 
 def _parse_assignment(text: str, alg: FiniteSemiring) -> dict[int, int]:
+    """Bindings like "x1=a,x2=(a,1)": a comma starts a new binding only
+    where a name and '=' follow it, so labels may contain commas."""
     env: dict[int, int] = {}
     if not text.strip():
         return env
-    for part in text.split(","):
-        pieces = part.split("=")
-        if len(pieces) != 2:
+    for part in re.split(r",(?=[^,=]*=)", text):
+        name, eq, label = part.partition("=")
+        if not eq:
             raise ValueError(f"malformed assignment entry {part.strip()!r}")
-        name, label = pieces[0].strip(), pieces[1].strip()
+        name, label = name.strip(), label.strip()
         try:
             var = parse(name)
         except TermSyntaxError:

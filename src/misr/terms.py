@@ -188,7 +188,7 @@ def parse(text: str) -> Term:
 
 
 def _describe(kind: str) -> str:
-    return {"var": "a variable", "end": "end of input"}.get(kind, f"'{kind}'")
+    return {"var": "variable", "end": "end of input"}.get(kind, f"'{kind}'")
 
 
 def postfix(*terms: Term) -> list[Term | bool]:

@@ -555,6 +555,25 @@ def test_format_round_trips_builtins():
         assert format_algebra(again) == text
 
 
+def test_format_round_trips_built_algebras():
+    built = [lplus1(boolean_lattice(k)) for k in range(1, 4)]
+    built.append(direct_product(T3, builtin("two")))
+    for alg in built:
+        text = format_algebra(alg)
+        assert parse_algebra(text) == alg
+        assert format_algebra(parse_algebra(text)) == text
+
+
+@pytest.mark.parametrize(
+    "name,elements",
+    [("my alg", ("0", "1")), ("m", ("", "1")), ("m", ("x y", "1"))],
+    ids=["space-in-name", "empty-label", "space-in-label"],
+)
+def test_names_and_labels_that_cannot_round_trip_are_rejected(name, elements):
+    with pytest.raises(ValueError, match="whitespace"):
+        FiniteSemiring(name, elements, ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1)
+
+
 def test_shipped_algebra_files_match_builtins():
     data = Path(__file__).resolve().parent.parent / "src" / "misr" / "data"
     for name in BUILTIN_NAMES:

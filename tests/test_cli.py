@@ -327,6 +327,28 @@ def test_algebra_file_roundtrip_via_path(capsys, tmp_path):
     assert out == "1\n"
 
 
+def test_eval_binds_labels_that_contain_commas(capsys, tmp_path):
+    path = tmp_path / "t3xtwo.alg"
+    path.write_text(format_algebra(direct_product(builtin("t3"), builtin("two"))))
+    code, out, _ = run_cli(capsys, "eval", str(path), "x*y", "x1=(a,1),x2=(1,0)")
+    assert code == 0
+    assert out == f"({T3_MUL[('a', '1')]},0)\n"
+    # the witness check prints evaluates the two sides apart
+    code, out, _ = run_cli(capsys, "check", str(path), "x*y = x")
+    assert code == 1 and out.startswith("fails at ")
+    witness = out.removeprefix("fails at ").rstrip("\n")
+    sides = [run_cli(capsys, "eval", str(path), t, witness) for t in ("x*y", "x")]
+    assert [code for code, _, _ in sides] == [0, 0]
+    assert sides[0][1] != sides[1][1]
+
+
+@pytest.mark.parametrize("assignment", ["x1=a,", "x1=b,x2=0", "x1", ",x1=a"])
+def test_eval_rejects_malformed_bindings(capsys, assignment):
+    code, out, err = run_cli(capsys, "eval", "t3", "x1", assignment)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_algebra_file(capsys):
     code, _, err = run_cli(capsys, "si", "no-such-algebra")
     assert code == 2

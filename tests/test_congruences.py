@@ -77,6 +77,39 @@ def test_partition_render():
     assert p.render(("0", "a", "1")) == "{0},{a,1}"
 
 
+def related(blocks):
+    """The pairs (x, y) with x and y in one block."""
+    return {(x, y) for block in blocks for x in block for y in block}
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_partition_agrees_with_its_blocks(n):
+    # the blocks of the restricted-growth listing are the oracle
+    listed = [(blocks, Partition.from_blocks(n, blocks)) for blocks in all_partitions(n)]
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    for blocks, p in listed:
+        again = Partition.from_blocks(n, p.blocks)
+        assert again == p and hash(again) == hash(p)
+        assert p.blocks == tuple(sorted(tuple(sorted(b)) for b in blocks))
+        assert {xy for xy in pairs if p.same(*xy)} == related(blocks)
+        assert p.is_discrete == (len(blocks) == n)
+        for other, q in listed:
+            meet = p.meet(q)
+            assert {xy for xy in pairs if meet.same(*xy)} == related(blocks) & related(other)
+    if n:
+        assert len(Partition.full(n).blocks) == 1
+    with pytest.raises(ValueError):
+        Partition.full(n).meet(Partition.full(n + 1))
+
+
+def test_returned_partitions_are_canonical():
+    for alg in SMALL_ALGEBRAS:
+        returned = [principal_congruence(alg, a, b) for a in range(alg.size) for b in range(alg.size)]
+        returned.append(is_subdirectly_irreducible(alg)[1])
+        for p in filter(None, returned):
+            assert p == Partition.from_blocks(alg.size, p.blocks)
+
+
 # --- principal congruences ---------------------------------------------------
 
 def test_merging_bounds_collapses_two():

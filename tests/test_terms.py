@@ -98,7 +98,7 @@ SYNTAX_ERRORS = [
     ("x 0", 3, "unexpected '0'"),
     ("x 1", 3, "unexpected '1'"),
     ("x(", 2, "unexpected '('"),
-    ("x y", 3, "unexpected a variable"),
+    ("x y", 3, "unexpected variable"),
     # only ASCII digits index a variable; str.isdigit also accepts these
     ("x²", 2, "unexpected character '²'"),
     ("x٣+x3", 2, "unexpected character '٣'"),
