@@ -40,6 +40,8 @@ class FiniteSemiring:
         for word in (self.name, *self.elements):
             if word.split() != [word]:  # format_algebra writes space-separated words
                 raise ValueError(f"name or label {word!r} is empty or has whitespace")
+            if not word.isascii():  # and load_algebra reads ASCII
+                raise ValueError(f"name or label {word!r} is not ASCII")
         for table, what in ((self.add, "add"), (self.mul, "mul")):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"{what} table must be {n}x{n}")

@@ -2,26 +2,24 @@
 
 A congruence is a partition compatible with both Cayley tables, kept as the
 least element of each element's block: a canonical form, so equal partitions
-compare and hash equal.  The principal congruence Cg(a,b) is the least
-congruence merging a and b, found by one union-find closure under both sides
-of both tables.  An algebra is subdirectly irreducible when the meet M of
-its principal congruences over distinct pairs is still non-discrete, and M
-is then its monolith (the least non-trivial congruence).
+compare and hash equal.  One union-find closure under both sides of both
+tables answers every question: Cg(a,b) closes (a,b), and a partition is a
+congruence when closing its spanning pairs merges nothing more.  The
+monolith is the meet M of all Cg(a,b) with a != b, when M is non-discrete.
 
-The test finishes few closures.  A closure stops as soon as it merges every
-spanning pair of the running meet M, or a pair already shown to generate a
-congruence containing M: Cg(a,b) then contains M and the meet is unchanged.
-Every pair is such a proof once its closure stops or ends, and stays one
-while M shrinks.  (R. Freese, "Computing congruences efficiently", Algebra
-Universalis 59 (2008), labels partitions so too, closes with union-find and
-reuses work across pairs.)
+Few closures run to the end: each stops once it merges every spanning pair
+of the running meet M, or a pair already shown to generate a congruence
+containing M, as Cg(a,b) then contains M.  Every pair is such a proof once
+its closure stops or ends, and stays one while M shrinks.  (R. Freese,
+"Computing congruences efficiently", Algebra Universalis 59 (2008), labels
+partitions so too, closes with union-find and reuses work across pairs.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Container, Hashable, Iterable, Sequence
 
 from .algebras import FiniteSemiring, _sides
 
@@ -36,6 +34,10 @@ class Partition:
     """
 
     least: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not all(0 <= m <= x and self.least[m] == m for x, m in enumerate(self.least)):
+            raise ValueError("least[x] must be the least element of x's block")
 
     @staticmethod
     def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -90,13 +92,13 @@ def _least(labels: Iterable[Hashable]) -> tuple[int, ...]:
 
 def _closure(
     sides: tuple[tuple[tuple[int, ...], ...], ...],
-    a: int,
-    b: int,
-    stop: Callable[[Callable[[int], int], int, int], bool] | None = None,
-) -> list[int] | None:
-    """Union-find closure of Cg(a,b): the root of each element's block, or
-    None as soon as stop(find, x, y) holds right after x and y are merged.
-
+    pairs: Iterable[tuple[int, int]],
+    span: Sequence[tuple[int, int]] = (),
+    proven: Container[tuple[int, int]] = (),
+) -> tuple[int, ...] | None:
+    """Union-find closure of the seed pairs: each element's least block
+    element (a merge hangs the larger root under the smaller), or None right
+    after a merge that hits a pair in proven or completes span, if given.
     Every merged pair (x, y) forces its translates (x+c, y+c), (c+x, c+y),
     (x*c, y*c) and (c*x, c*y); spanning pairs suffice because union-find
     keeps the relation transitively closed.
@@ -109,53 +111,57 @@ def _closure(
             x = parent[x]
         return x
 
-    pending = [(a, b)]
+    pending = list(pairs)
+    merged = 0  # span[:merged] are merged
     while pending:
         x, y = pending.pop()
         rx, ry = find(x), find(y)
         if rx == ry:
             continue
+        if rx > ry:
+            rx, ry = ry, rx
         parent[ry] = rx
-        if stop is not None and stop(find, x, y):
-            return None
+        if span:
+            if (x, y) in proven:
+                return None
+            while find(span[merged][0]) == find(span[merged][1]):
+                merged += 1
+                if merged == len(span):
+                    return None
         for table in sides:
             pending += zip(table[x], table[y])
-    return [find(x) for x in range(len(parent))]
+    return tuple(map(find, range(len(parent))))
 
 
 def principal_congruence(alg: FiniteSemiring, a: int, b: int) -> Partition:
-    """The least congruence of alg merging a and b."""
-    n = alg.size
-    if not 0 <= a < n or not 0 <= b < n:
+    """The least congruence of alg merging a and b.
+
+    >>> from misr import builtin
+    >>> principal_congruence(builtin("t3"), 1, 2).render(("0", "a", "1"))
+    '{0},{a,1}'
+    """
+    if not (0 <= a < alg.size and 0 <= b < alg.size):
         raise ValueError("element index out of range")
-    return Partition(_least(_closure(_sides(alg), a, b)))
+    return Partition(_closure(_sides(alg), [(a, b)]))
 
 
 def is_congruence(alg: FiniteSemiring, part: Partition) -> bool:
-    """Is the partition compatible with both tables?"""
+    """Is the partition compatible with both tables?  Exactly when closing
+    its spanning pairs (x, least[x]) merges nothing more.
+
+    >>> from misr import builtin
+    >>> is_congruence(builtin("t3"), Partition.from_blocks(3, [[0, 1], [2]]))
+    False
+    """
     if part.size != alg.size:
         raise ValueError("partition size does not match the carrier")
-    sides, least = _sides(alg), part.least
-    return all(
-        least[u] == least[v]
-        for x, m in enumerate(least)
-        if m != x
-        for rows in sides
-        for u, v in zip(rows[m], rows[x])
-    )
+    return _closure(_sides(alg), enumerate(part.least)) == part.least
 
 
-def is_subdirectly_irreducible(
-    alg: FiniteSemiring,
-) -> tuple[bool, Partition | None]:
-    """Does alg have a least non-trivial congruence (its monolith)?
-
-    The monolith is the meet M of Cg(a,b) over all pairs a != b; alg is
-    subdirectly irreducible iff M is not discrete.  Each closure stops
-    early once Cg(a,b) is known to contain M: when all of M's spanning
-    pairs are merged, or when it merges a pair already shown to generate a
-    congruence containing M.  Only closures that run to the end shrink M.
-    Raises on a one-element carrier.
+def is_subdirectly_irreducible(alg: FiniteSemiring) -> tuple[bool, Partition | None]:
+    """Does alg have a least non-trivial congruence (its monolith)?  Only
+    closures that run to the end shrink the meet M.  Raises on a one-element
+    carrier.
     """
     n = alg.size
     if n < 2:
@@ -163,23 +169,9 @@ def is_subdirectly_irreducible(
     sides = _sides(alg)
     least = (0,) * n  # the least element of x's block of M
     span = [(0, x) for x in range(1, n)]
-    # pairs (both orders) whose principal congruence contains M; M only
-    # shrinks, so a pair once proven stays proven
-    proven: set[tuple[int, int]] = set()
+    proven: set[tuple[int, int]] = set()  # pairs whose Cg contains M, both orders
     for a, b in combinations(range(n), 2):
-        merged = 0  # span[:merged] are merged in the current closure
-
-        def contains_meet(find: Callable[[int], int], x: int, y: int) -> bool:
-            nonlocal merged
-            if (x, y) in proven:
-                return True
-            while find(span[merged][0]) == find(span[merged][1]):
-                merged += 1
-                if merged == len(span):
-                    return True
-            return False
-
-        roots = _closure(sides, a, b, contains_meet)
+        roots = _closure(sides, [(a, b)], span, proven)
         proven.update(((a, b), (b, a)))
         if roots is not None:
             least = _least(zip(least, roots))

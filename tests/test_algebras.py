@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from pathlib import Path
 from random import Random
@@ -520,6 +521,61 @@ def test_lplus1_rejects_non_distributive_lattices():
             lplus1(lat)
 
 
+# The laws that make a semiring a bounded distributive lattice, checked by
+# holds: the semiring axioms, commutative and idempotent *, and 1+x = 1
+# (which gives x+x = x*(1+1) = x and x+x*y = x*(1+y) = x).
+LATTICE_LAWS = misr.algebras._SEMIRING_AXIOMS + (
+    parse_identity("x*y = y*x"),
+    parse_identity("x*x = x"),
+    parse_identity("1+x = 1"),
+)
+
+
+def mutants_of(alg):
+    """alg with one table cell moved to the next element, cell by cell, and
+    with its 0 or its 1 moved to each other element."""
+    n = alg.size
+    for which, x, y in itertools.product((0, 1), range(n), range(n)):
+        tables = [list(map(list, alg.add)), list(map(list, alg.mul))]
+        tables[which][x][y] = (tables[which][x][y] + 1) % n
+        add, mul = (tuple(map(tuple, t)) for t in tables)
+        yield dataclasses.replace(alg, add=add, mul=mul)
+    for c in range(n):
+        if c != alg.zero:
+            yield dataclasses.replace(alg, zero=c)
+        if c != alg.one:
+            yield dataclasses.replace(alg, one=c)
+
+
+def test_lattice_scan_agrees_with_the_law_checker():
+    # lplus1's direct table scan must accept exactly what holds accepts
+    rng = Random(20261020)
+    labels = ("0", "p", "q", "r", "a")
+    bounds = {("0", x) for x in labels[1:]} | {(x, "a") for x in labels[1:4]}
+    bases = [builtin(name) for name in BUILTIN_NAMES]
+    bases += [boolean_lattice(k) for k in range(1, 4)]
+    bases += [lattice_from_order("m3", labels, bounds)]
+    bases += [lattice_from_order("n5", labels, bounds | {("p", "q")})]
+    for n in range(2, 6):
+        chain = tuple(str(i) for i in range(n))
+        less = {(chain[i], chain[j]) for i in range(n) for j in range(i + 1, n)}
+        bases.append(lattice_from_order(f"c{n}", chain, less))
+    algebras = bases + [m for alg in bases for m in mutants_of(alg)]
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        add, mul = (
+            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)) for _ in range(2)
+        )
+        labels_n = tuple(str(i) for i in range(n))
+        algebras.append(FiniteSemiring("r", labels_n, add, mul, rng.randrange(n), rng.randrange(n)))
+    lattices = 0
+    for alg in algebras:
+        by_laws = all(holds(alg, law)[0] for law in LATTICE_LAWS)
+        assert (misr.algebras._lattice_problem(alg) is None) == by_laws, alg
+        lattices += by_laws
+    assert lattices >= 20 and len(algebras) - lattices >= 500, (lattices, len(algebras))
+
+
 # --- products ----------------------------------------------------------------
 
 def test_two_squared_is_a_bounded_distributive_lattice():
@@ -565,12 +621,19 @@ def test_format_round_trips_built_algebras():
 
 
 @pytest.mark.parametrize(
-    "name,elements",
-    [("my alg", ("0", "1")), ("m", ("", "1")), ("m", ("x y", "1"))],
-    ids=["space-in-name", "empty-label", "space-in-label"],
+    "name,elements,problem",
+    [
+        ("my alg", ("0", "1"), "whitespace"),
+        ("m", ("", "1"), "whitespace"),
+        ("m", ("x y", "1"), "whitespace"),
+        # load_algebra reads files as ASCII
+        ("\u00e5lg", ("0", "1"), "not ASCII"),
+        ("m", ("\u00e9", "1"), "not ASCII"),
+    ],
+    ids=["space-in-name", "empty-label", "space-in-label", "non-ascii-name", "non-ascii-label"],
 )
-def test_names_and_labels_that_cannot_round_trip_are_rejected(name, elements):
-    with pytest.raises(ValueError, match="whitespace"):
+def test_names_and_labels_that_cannot_round_trip_are_rejected(name, elements, problem):
+    with pytest.raises(ValueError, match=problem):
         FiniteSemiring(name, elements, ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1)
 
 

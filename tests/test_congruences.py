@@ -16,6 +16,8 @@ from misr import (
     lplus1,
     principal_congruence,
 )
+from misr.algebras import _sides
+from misr.congruences import _closure
 from support import (
     _compatible,
     all_partitions,
@@ -70,6 +72,14 @@ def test_partition_meet_and_refines():
     assert discrete.meet(p) == discrete
     assert p.meet(Partition.full(4)) == p
     assert p.meet(q) != p
+
+
+def test_partition_rejects_least_that_is_not_canonical():
+    # least[x] must be at most x and the least element of its own block
+    for least in ((1, 0), (0, 2, 1), (0, 0, 1), (-1,)):
+        with pytest.raises(ValueError):
+            Partition(least)
+    assert Partition((0, 0, 2, 0)).blocks == ((0, 1, 3), (2,))
 
 
 def test_partition_render():
@@ -162,6 +172,17 @@ def test_principal_congruence_is_least():
                 for theta in congruences:
                     if theta.same(a, b):
                         assert cg.meet(theta) == cg
+
+
+def test_closure_stops_on_a_proven_pair_or_a_completed_span():
+    # on t3 (0, a, 1) Cg(a,1) is {0},{a,1}; the SI test relies on both stops
+    sides = _sides(T3)
+    assert _closure(sides, [(1, 2)]) == (0, 1, 1)
+    assert _closure(sides, [(1, 2)], span=[(0, 1)]) == (0, 1, 1)
+    assert _closure(sides, [(1, 2)], span=[(0, 1)], proven={(1, 2)}) is None
+    assert _closure(sides, [(1, 2)], span=[(1, 2), (0, 1)]) == (0, 1, 1)
+    assert _closure(sides, [(1, 2)], span=[(1, 2)]) is None
+    assert _closure(sides, [(0, 1)]) == (0, 0, 0)
 
 
 # --- subdirect irreducibility -------------------------------------------------
