@@ -183,6 +183,12 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     return True, None
 
 
+def _format_witness(alg: FiniteSemiring, env: Mapping[int, int]) -> str:
+    if not env:
+        return "the empty assignment"
+    return ", ".join(f"x{i}={alg.elements[v]}" for i, v in sorted(env.items()))
+
+
 MUL_IDEMPOTENCE = parse_identity("x*x = x", "mul-idempotent")
 BOOLEAN_LAW = parse_identity("1+x+x = 1", "boolean-law")
 ABSORPTION_LAW = parse_identity("x+y+x*y*z = x+y", "absorption-law")
@@ -268,39 +274,25 @@ def check_axioms(alg: FiniteSemiring) -> AxiomReport:
 
 # --- lattices and constructions ---------------------------------------------
 
-def _lattice_problem(lat: FiniteSemiring) -> str | None:
-    """The first bounded distributive lattice law that lat breaks, reading
-    + as join, * as meet, 0 as bottom and 1 as top; None if it breaks none.
+_LATTICE_BASIS: tuple[Identity, ...] = (
+    parse_identity("0+x = x", "join-bottom"),
+    parse_identity("1*x = x", "meet-top"),
+    parse_identity("x*(x+y) = x", "absorption"),
+    parse_identity("x*(y+z) = z*x+y*x", "distributivity"),
+)
 
-    A direct scan of the tables: the same laws through holds would cost two
-    orders of magnitude more on boolean_lattice(4).
-    """
-    jn, mt, el = lat.add, lat.mul, lat.elements
-    rng = range(lat.size)
-    for x in rng:
-        if jn[x][x] != x or mt[x][x] != x:
-            return f"idempotence fails at {el[x]}"
-        if jn[lat.zero][x] != x:
-            return f"bottom is not neutral for join at {el[x]}"
-        if mt[lat.one][x] != x:
-            return f"top is not neutral for meet at {el[x]}"
-    for x in rng:
-        for y in rng:
-            if jn[x][y] != jn[y][x]:
-                return "join is not commutative"
-            if mt[x][y] != mt[y][x]:
-                return "meet is not commutative"
-            if jn[x][mt[x][y]] != x or mt[x][jn[x][y]] != x:
-                return "absorption fails"
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if jn[jn[x][y]][z] != jn[x][jn[y][z]]:
-                    return "join is not associative"
-                if mt[mt[x][y]][z] != mt[x][mt[y][z]]:
-                    return "meet is not associative"
-                if mt[x][jn[y][z]] != jn[mt[x][y]][mt[x][z]]:
-                    return "distributivity fails"
+
+def _lattice_problem(lat: FiniteSemiring) -> str | None:
+    """The first law of _LATTICE_BASIS that lat breaks, with its least
+    witness, or None.  By M. Sholander ("Postulates for distributive
+    lattices", Canad. J. Math. 3 (1951)), the last two laws hold exactly in
+    the distributive lattices with + as join and * as meet (with x*y+x*z on
+    the right they admit non-lattices); the first two make 0 the bottom and
+    1 the top."""
+    for law in _LATTICE_BASIS:
+        ok, env = holds(lat, law)
+        if not ok:
+            return f"{law.name} fails at {_format_witness(lat, env)}"
     return None
 
 
@@ -350,10 +342,10 @@ def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
     0 as bottom and 1 as top.  The label 1 goes to the new unit, so a top
     labelled 1 is relabelled a when no element has that label already.
 
-    On the old carrier + is join and * is meet.  The new unit 1 is neutral
-    for *; additively, 0+1 = 1 and every other sum involving 1 collapses to
-    the lattice top.  The result always satisfies the absorption law but
-    (since 1+1 = top != 1) never the boolean law.
+    holds checks lat on Sholander's four identities (see _lattice_problem).
+    The new unit 1 is neutral for *; additively, 0+1 = 1 and every other sum
+    involving 1 collapses to the lattice top.  The result always satisfies
+    the absorption law but (since 1+1 = top != 1) never the boolean law.
     """
     problem = _lattice_problem(lat)
     if problem is not None:
@@ -447,6 +439,8 @@ def parse_algebra(text: str) -> FiniteSemiring:
     def get(lineno: int) -> str:
         if lineno > len(lines):
             raise AlgebraFormatError(lineno, "unexpected end of input")
+        if not lines[lineno - 1].isascii():
+            raise AlgebraFormatError(lineno, "non-ASCII character")
         return lines[lineno - 1]
 
     head = get(1).split()
@@ -498,7 +492,8 @@ def parse_algebra(text: str) -> FiniteSemiring:
 
 
 def load_algebra(path: str) -> FiniteSemiring:
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte becomes a lone surrogate, which parse_algebra reports
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return parse_algebra(fh.read())
 
 

@@ -15,6 +15,7 @@ import sys
 
 from .algebras import (
     FiniteSemiring,
+    _format_witness,
     builtin,
     BUILTIN_NAMES,
     boolean_lattice,
@@ -78,12 +79,6 @@ def _parse_assignment(text: str, alg: FiniteSemiring) -> dict[int, int]:
             raise ValueError(f"duplicate binding for x{var.index}")
         env[var.index] = alg.index(label)
     return env
-
-
-def _format_witness(alg: FiniteSemiring, env: dict[int, int]) -> str:
-    if not env:
-        return "the empty assignment"
-    return ", ".join(f"x{i}={alg.elements[v]}" for i, v in sorted(env.items()))
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:

@@ -437,7 +437,7 @@ def test_lplus1_rejects_semiring_that_is_not_a_lattice():
     assert report.is_semiring and report.ok("mul-commutative")
     assert holds(e3, LATTICE_ABSORPTION)[0]
     assert not report.ok("mul-idempotent")
-    with pytest.raises(ValueError, match="idempotence fails at e"):
+    with pytest.raises(ValueError, match="absorption fails at x1=e, x2=0"):
         lplus1(e3)
 
 
@@ -661,6 +661,11 @@ def test_parse_algebra_trailing_newlines_ok():
         (lambda ls: ls[:5] + ["0 a"] + ls[6:], 6),
         (lambda ls: ls[:7] + ["1 a q"] + ls[8:], 8),
         (lambda ls: ls + ["extra"], 13),
+        pytest.param(
+            lambda ls: ls[:1] + [" ".join("é" if w == "a" else w for w in l.split(" ")) for l in ls[1:]],
+            2,
+            id="non-ascii-label",
+        ),
     ],
 )
 def test_parse_algebra_errors_name_the_line(mutate, line):

@@ -8,6 +8,7 @@ independent table transcription in support.py.
 from __future__ import annotations
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -347,6 +348,58 @@ def test_eval_rejects_malformed_bindings(capsys, assignment):
     code, out, err = run_cli(capsys, "eval", "t3", "x1", assignment)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        ("algebra two\nelements: 0 é\nzero: 0\none: é\nadd:\n0 é\né é\nmul:\n0 0\n0 é\n".encode(), 2),
+        (format_algebra(builtin("two")).encode().replace(b"1 1", b"1 \xff"), 7),
+    ],
+    ids=["utf8-label", "invalid-byte"],
+)
+def test_non_ascii_algebra_file(capsys, tmp_path, data, line):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "si", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {line}: non-ASCII character") and err.count("\n") == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """[argv, redirect target or None, shown stdout] for each `$ misr` line
+    in the sh block of README's "Command line" section."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ misr "):
+            argv, target = shlex.split(line.removeprefix("$ misr "), comments=True), None
+            if ">" in argv:
+                argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
+            examples.append([argv, target, ""])
+        elif line:
+            examples[-1][2] += line + "\n"
+    return examples
+
+
+def test_readme_command_line_examples(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # for the files the examples write and read
+    ran = 0
+    for argv, target, shown in readme_examples():
+        if target is None and not shown:
+            continue
+        main(argv)
+        out = capsys.readouterr().out
+        if target is None:
+            assert out == shown, argv
+        else:
+            Path(target).write_text(out)
+        ran += 1
+    assert ran >= 9
 
 
 def test_missing_algebra_file(capsys):
