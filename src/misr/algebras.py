@@ -13,6 +13,7 @@ are in the format of format_algebra and parse_algebra.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -296,6 +297,19 @@ def _lattice_problem(lat: FiniteSemiring) -> str | None:
     return None
 
 
+def _tabulate(name, carrier, labels, add, mul, zero, one) -> FiniteSemiring:
+    """The semiring on the distinct hashable values of carrier, in order,
+    labeled by labels: add and mul are tabulated from functions on values,
+    and zero and one are values."""
+    values = tuple(carrier)
+    index = {v: i for i, v in enumerate(values)}
+
+    def table(op) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple([index[op(x, y)] for y in values]) for x in values)
+
+    return FiniteSemiring(name, tuple(labels), table(add), table(mul), index[zero], index[one])
+
+
 def boolean_lattice(k: int) -> FiniteSemiring:
     """The lattice of subsets of {1..k}, 1 <= k <= 6, as a semiring:
     + is union, * is intersection, 0 is the empty set and 1 the full set.
@@ -310,7 +324,6 @@ def boolean_lattice(k: int) -> FiniteSemiring:
         raise ValueError(f"k must be between 1 and 6, got {k}")
     universe = frozenset(range(1, k + 1))
     subsets = monomials_over(k)
-    index = {s: i for i, s in enumerate(subsets)}
 
     def label(s: frozenset[int]) -> str:
         if not s:
@@ -319,21 +332,8 @@ def boolean_lattice(k: int) -> FiniteSemiring:
             return "a"
         return "e" + "".join(str(i) for i in sorted(s))
 
-    n = len(subsets)
-    join = tuple(
-        tuple(index[subsets[i] | subsets[j]] for j in range(n)) for i in range(n)
-    )
-    meet = tuple(
-        tuple(index[subsets[i] & subsets[j]] for j in range(n)) for i in range(n)
-    )
-    return FiniteSemiring(
-        f"b{k}",
-        tuple(label(s) for s in subsets),
-        join,
-        meet,
-        index[frozenset()],
-        index[universe],
-    )
+    labels = [label(s) for s in subsets]
+    return _tabulate(f"b{k}", subsets, labels, operator.or_, operator.and_, frozenset(), universe)
 
 
 def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
@@ -373,36 +373,19 @@ def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
             return lat.mul[x][y]
         return y if x == unit else x
 
-    size = unit + 1
-    return FiniteSemiring(
-        f"{lat.name}+1",
-        elements + ("1",),
-        tuple(tuple(add(x, y) for y in range(size)) for x in range(size)),
-        tuple(tuple(mul(x, y) for y in range(size)) for x in range(size)),
-        bottom,
-        unit,
-    )
+    return _tabulate(f"{lat.name}+1", range(unit + 1), elements + ("1",), add, mul, bottom, unit)
 
 
 def direct_product(a: FiniteSemiring, b: FiniteSemiring) -> FiniteSemiring:
     """Componentwise product; labels are "(la,lb)" pairs."""
-    pairs = [(i, j) for i in range(a.size) for j in range(b.size)]
-    index = {p: k for k, p in enumerate(pairs)}
-    elements = tuple(f"({a.elements[i]},{b.elements[j]})" for i, j in pairs)
-    add = tuple(
-        tuple(index[(a.add[i][k], b.add[j][l])] for k, l in pairs) for i, j in pairs
-    )
-    mul = tuple(
-        tuple(index[(a.mul[i][k], b.mul[j][l])] for k, l in pairs) for i, j in pairs
-    )
-    return FiniteSemiring(
-        f"{a.name}x{b.name}",
-        elements,
-        add,
-        mul,
-        index[(a.zero, b.zero)],
-        index[(a.one, b.one)],
-    )
+    pairs = list(itertools.product(range(a.size), range(b.size)))
+    labels = [f"({a.elements[i]},{b.elements[j]})" for i, j in pairs]
+
+    def componentwise(s, t):
+        return lambda p, q: (s[p[0]][q[0]], t[p[1]][q[1]])
+
+    add, mul = componentwise(a.add, b.add), componentwise(a.mul, b.mul)
+    return _tabulate(f"{a.name}x{b.name}", pairs, labels, add, mul, (a.zero, b.zero), (a.one, b.one))
 
 
 # --- the algebra file format -------------------------------------------------

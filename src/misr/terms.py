@@ -113,7 +113,10 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
             if j == i + 1:
                 tokens.append(("var", 1, col))
             else:
-                index = int(text[i + 1 : j])
+                try:
+                    index = int(text[i + 1 : j])
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise TermSyntaxError("variable index is too long", col) from None
                 if index == 0:
                     raise TermSyntaxError("variable index 0 is not allowed", col)
                 tokens.append(("var", index, col))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 from pathlib import Path
 from random import Random
@@ -33,7 +34,7 @@ from misr import (
     parse_algebra,
     parse_identity,
 )
-from support import T3_ADD, T3_LABELS, T3_MUL, eval_labels, random_term
+from support import T3_ADD, T3_LABELS, T3_MUL, eval_labels, random_tables, random_term
 
 T3 = builtin("t3")
 S3 = builtin("s3")
@@ -343,6 +344,48 @@ def test_boolean_lattice_shapes():
             boolean_lattice(k)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_boolean_lattice_by_its_labels(k):
+    universe = frozenset(range(1, k + 1))
+
+    def subset(label: str) -> frozenset[int]:
+        if label == "0":
+            return frozenset()
+        if label == "a":
+            return universe
+        assert label[0] == "e" and label[1:].isdigit()
+        return frozenset(int(d) for d in label[1:])
+
+    lat = boolean_lattice(k)
+    sets = [subset(label) for label in lat.elements]
+    assert lat.name == f"b{k}"
+    everything = {frozenset(c) for r in range(k + 1) for c in itertools.combinations(universe, r)}
+    assert len(sets) == len(everything) and set(sets) == everything
+    assert sets == sorted(sets, key=lambda s: (len(s), sorted(s)))
+    assert (sets[lat.zero], sets[lat.one]) == (frozenset(), universe)
+    for x, y in itertools.product(range(lat.size), repeat=2):
+        assert sets[lat.add[x][y]] == sets[x] | sets[y]
+        assert sets[lat.mul[x][y]] == sets[x] & sets[y]
+
+
+# sha256 of format_algebra(lplus1(boolean_lattice(k))), computed with
+# tables that were not built through _tabulate
+LPLUS1_DIGESTS = {
+    1: "b9dbf6c21434dd1a8b8b52e0c1f8c6b6a2a1c843d6bbbbe024c70e05f647b593",
+    2: "3ce5226f1f13f4d1587057c981cbb86acadcbddc9e34cb11a8faef704c42203b",
+    3: "990e4406836da1c2e3079466ef1ccd993aac7f0210d8fc3231360a0e6bde5387",
+    4: "a1ab79b97f6a19eb19f8d7e7f8353bd60a01ab9db78d782f91d0bbbb8cca905a",
+    5: "5681fc6bf5af8c6b692af5ffccf9144aefa5a560361af2a1dda55bb872c41b7b",
+    6: "04753efd19b5f0dc1ad49ef2cce95ef693c1cbbe8b237d7f6d794050ebe5a954",
+}
+
+
+@pytest.mark.parametrize("k", sorted(LPLUS1_DIGESTS))
+def test_lplus1_of_boolean_lattices_is_pinned_byte_for_byte(k):
+    text = format_algebra(lplus1(boolean_lattice(k)))
+    assert hashlib.sha256(text.encode()).hexdigest() == LPLUS1_DIGESTS[k]
+
+
 def test_lplus1_of_two_element_lattice_is_t3():
     # the builtin two labels its top 1, which lplus1 relabels a
     for lat in (boolean_lattice(1), TWO):
@@ -598,6 +641,48 @@ def test_product_preserves_theories_componentwise():
         u = random_term(rng, 12, 2)
         ident = Identity(t, u)
         assert holds(sq, ident)[0] == holds(T3, ident)[0]
+
+
+# three seeded tables on which + and * do not commute, so that a product
+# with its operands swapped in some cell shows
+RANDOM_FACTORS = [
+    random_tables(Random(seed), size, False) for seed, size in ((1, 3), (2, 4), (5, 2))
+]
+
+
+def label_table(alg: FiniteSemiring, table) -> dict[tuple[str, str], str]:
+    return {
+        (alg.elements[x], alg.elements[y]): alg.elements[table[x][y]]
+        for x, y in itertools.product(range(alg.size), repeat=2)
+    }
+
+
+def test_random_factors_do_not_commute():
+    for alg in RANDOM_FACTORS:
+        for table in (alg.add, alg.mul):
+            cells = itertools.product(range(alg.size), repeat=2)
+            assert any(table[x][y] != table[y][x] for x, y in cells)
+
+
+FACTORS = {name: builtin(name) for name in BUILTIN_NAMES}
+FACTORS.update((f"random{alg.size}", alg) for alg in RANDOM_FACTORS)
+
+
+@pytest.mark.parametrize("m, n", list(itertools.product(FACTORS, repeat=2)))
+def test_product_by_its_labels(m, n):
+    a, b = FACTORS[m], FACTORS[n]
+    p = direct_product(a, b)
+    assert p.name == f"{a.name}x{b.name}"
+    cells = list(itertools.product(a.elements, b.elements))
+    assert p.elements == tuple(f"({la},{lb})" for la, lb in cells)
+    label = dict(zip(cells, p.elements))
+    for op_p, op_a, op_b in ((p.add, a.add, b.add), (p.mul, a.mul, b.mul)):
+        table_p, table_a, table_b = label_table(p, op_p), label_table(a, op_a), label_table(b, op_b)
+        for (la, lb), (ma, mb) in itertools.product(cells, repeat=2):
+            expected = label[(table_a[(la, ma)], table_b[(lb, mb)])]
+            assert table_p[(label[(la, lb)], label[(ma, mb)])] == expected
+    assert p.elements[p.zero] == label[(a.elements[a.zero], b.elements[b.zero])]
+    assert p.elements[p.one] == label[(a.elements[a.one], b.elements[b.one])]
 
 
 # --- the file format ---------------------------------------------------------

@@ -320,6 +320,18 @@ def test_syntax_error_reported_with_position(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="int() converts digit strings of any length",
+)
+def test_variable_index_longer_than_int_converts(capsys):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(capsys, "normalize", "x" + digits)
+    assert code == 2
+    assert out == ""
+    assert err == "error: variable index is too long (column 1)\n"
+
+
 def test_algebra_file_roundtrip_via_path(capsys, tmp_path):
     path = tmp_path / "t3copy.alg"
     path.write_text(format_algebra(builtin("t3")))

@@ -22,6 +22,7 @@ from misr import (
     holds,
     normalize,
     parse,
+    parse_identity,
     rep_text,
     term_size,
     to_text,
@@ -114,6 +115,22 @@ def test_syntax_errors_carry_positions(text, column, message):
         parse(text)
     assert exc.value.position == column
     assert str(exc.value) == f"{message} (column {column})"
+
+
+# the most digits int() converts; 0 when it converts any number
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_DIGITS == 0, reason="int() converts digit strings of any length")
+def test_variable_index_longer_than_int_converts_is_a_syntax_error():
+    digits = "9" * (INT_DIGITS + 1)
+    with pytest.raises(TermSyntaxError) as exc:
+        parse("x" + digits)
+    assert (exc.value.message, exc.value.position) == ("variable index is too long", 1)
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_identity("x = y*x" + digits)
+    assert (exc.value.message, exc.value.position) == ("variable index is too long", 7)
+    assert parse("x" + "9" * INT_DIGITS) == Var(int("9" * INT_DIGITS))
 
 
 def test_parse_leaves_no_cyclic_garbage():
