@@ -2,8 +2,12 @@
 
 A congruence is a partition compatible with both Cayley tables, kept as the
 least element of each element's block: a canonical form, so equal partitions
-compare and hash equal.  One union-find closure under both sides of both
-tables answers every question: Cg(a,b) closes (a,b), and a partition is a
+compare and hash equal.  One union-find closure answers every question: it
+merges its seed pairs, then closes under translates in rounds of whole rows.
+Cg(a,b) is seeded with (a,b) and every (c*a+d, c*b+d), pairs of Cg(a,b) by
+Mal'cev's lemma.  In a commutative semiring with x*x = x each unary
+polynomial is some c*x+d (its monomials are constants times x^j = x), so the
+seeds generate Cg(a,b) and the first round merges nothing.  A partition is a
 congruence when closing its spanning pairs merges nothing more.  The
 monolith is the meet M of all Cg(a,b) with a != b, when M is non-discrete.
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Container, Hashable, Iterable, Sequence
+from typing import Container, Hashable, Iterable, Iterator, Sequence
 
 from .algebras import FiniteSemiring, _sides
 
@@ -96,12 +100,12 @@ def _closure(
     span: Sequence[tuple[int, int]] = (),
     proven: Container[tuple[int, int]] = (),
 ) -> tuple[int, ...] | None:
-    """Union-find closure of the seed pairs: each element's least block
+    """The congruence generated by the seed pairs: each element's least block
     element (a merge hangs the larger root under the smaller), or None right
     after a merge that hits a pair in proven or completes span, if given.
-    Every merged pair (x, y) forces its translates (x+c, y+c), (c+x, c+y),
-    (x*c, y*c) and (c*x, c*y); spanning pairs suffice because union-find
-    keeps the relation transitively closed.
+    After the seeds, each round merges the rows x and least[x] of each side
+    of each table cell by cell where they differ once mapped to blocks; a
+    round that finds none ends the closure, as its blocks are compatible.
     """
     parent = list(range(len(sides[0])))
 
@@ -111,26 +115,34 @@ def _closure(
             x = parent[x]
         return x
 
-    pending = list(pairs)
     merged = 0  # span[:merged] are merged
-    while pending:
-        x, y = pending.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        if span:
-            if (x, y) in proven:
-                return None
-            while find(span[merged][0]) == find(span[merged][1]):
-                merged += 1
-                if merged == len(span):
+    while True:
+        for x, y in pairs:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+                if span and (x, y) in proven:
                     return None
-        for table in sides:
-            pending += zip(table[x], table[y])
-    return tuple(map(find, range(len(parent))))
+                while span and find(span[merged][0]) == find(span[merged][1]):
+                    merged += 1
+                    if merged == len(span):
+                        return None
+        least = tuple(map(find, range(len(parent))))
+        pairs = [pair for table in sides for x, m in enumerate(least)
+                 if m != x and [least[v] for v in table[x]] != [least[v] for v in table[m]]
+                 for pair in zip(table[x], table[m])]
+        if not pairs:
+            return least
+
+
+def _seeds(alg: FiniteSemiring, a: int, b: int) -> Iterator[tuple[int, int]]:
+    """(a, b), then (c*a+d, c*b+d) for each distinct (c*a, c*b) with c*a != c*b and every d."""
+    yield a, b
+    seen = set()
+    for row in alg.mul:
+        if row[a] != row[b] and (row[a], row[b]) not in seen:
+            seen.add((row[a], row[b]))
+            yield from zip(alg.add[row[a]], alg.add[row[b]])
 
 
 def principal_congruence(alg: FiniteSemiring, a: int, b: int) -> Partition:
@@ -142,7 +154,7 @@ def principal_congruence(alg: FiniteSemiring, a: int, b: int) -> Partition:
     """
     if not (0 <= a < alg.size and 0 <= b < alg.size):
         raise ValueError("element index out of range")
-    return Partition(_closure(_sides(alg), [(a, b)]))
+    return Partition(_closure(_sides(alg), _seeds(alg, a, b)))
 
 
 def is_congruence(alg: FiniteSemiring, part: Partition) -> bool:
@@ -171,7 +183,7 @@ def is_subdirectly_irreducible(alg: FiniteSemiring) -> tuple[bool, Partition | N
     span = [(0, x) for x in range(1, n)]
     proven: set[tuple[int, int]] = set()  # pairs whose Cg contains M, both orders
     for a, b in combinations(range(n), 2):
-        roots = _closure(sides, [(a, b)], span, proven)
+        roots = _closure(sides, _seeds(alg, a, b), span, proven)
         proven.update(((a, b), (b, a)))
         if roots is not None:
             least = _least(zip(least, roots))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -17,9 +18,10 @@ from misr import (
     principal_congruence,
 )
 from misr.algebras import _sides
-from misr.congruences import _closure
+from misr.congruences import _closure, _seeds
 from support import (
     _compatible,
+    _principal_roots,
     all_partitions,
     lplus1_monolith,
     random_tables,
@@ -122,6 +124,49 @@ def test_returned_partitions_are_canonical():
 
 # --- principal congruences ---------------------------------------------------
 
+def by_roots(roots):
+    """The partition whose blocks are the elements sharing a root."""
+    blocks = {}
+    for x, root in enumerate(roots):
+        blocks.setdefault(root, []).append(x)
+    return Partition.from_blocks(len(roots), blocks.values())
+
+
+def seed_round(alg, a, b):
+    """The equivalence generated by (a, b) and every (c*a+d, c*b+d) alone,
+    closed under no translate: a root per element."""
+    n = alg.size
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    pairs = [(a, b)]
+    pairs += [(alg.add[alg.mul[c][a]][d], alg.add[alg.mul[c][b]][d]) for c in range(n) for d in range(n)]
+    for x, y in pairs:
+        root[find(x)] = find(y)
+    return [find(x) for x in range(n)]
+
+
+def translate_round_case():
+    """A non-commutative random table, a pair (a, b) with Cg(a,b) not full,
+    a pair (x, y) of Cg(a,b) that the seed round leaves apart, and the seed
+    round's roots."""
+    rng = Random(20261020)
+    for _ in range(100):
+        alg = random_tables(rng, 5, False)
+        for a, b in combinations(range(alg.size), 2):
+            seeded = seed_round(alg, a, b)
+            cg = _principal_roots(alg.add, alg.mul, alg.size, a, b)
+            if len(set(cg)) > 1:
+                for x, y in combinations(range(alg.size), 2):
+                    if cg[x] == cg[y] and seeded[x] != seeded[y]:
+                        return alg, a, b, x, y, seeded
+    raise AssertionError("no table needs a translate round")
+
+
 def test_merging_bounds_collapses_two():
     assert principal_congruence(TWO, 0, 1) == Partition.full(2)
 
@@ -174,6 +219,28 @@ def test_principal_congruence_is_least():
                         assert cg.meet(theta) == cg
 
 
+def test_principal_congruence_agrees_with_breadth_first_closure():
+    # every pair against the breadth-first oracle; random tables obey no
+    # law, so the seed pairs (a, b) and (c*a+d, c*b+d) alone often miss part
+    # of Cg(a,b) there, and only the translate rounds complete it
+    rng = Random(20261019)
+    algebras = [builtin(name) for name in BUILTIN_NAMES]
+    algebras += [lplus1(boolean_lattice(k)) for k in range(1, 5)]
+    algebras += [direct_product(builtin(x), builtin(y)) for x in BUILTIN_NAMES for y in BUILTIN_NAMES]
+    algebras += [random_tables(rng, rng.randint(2, 7), i % 2 == 0) for i in range(300)]
+    short = 0  # tables with a pair whose seed round misses part of Cg(a,b)
+    for alg in algebras:
+        n = alg.size
+        missed = False
+        for a in range(n):
+            for b in range(n):
+                want = by_roots(_principal_roots(alg.add, alg.mul, n, a, b))
+                assert principal_congruence(alg, a, b) == want, (alg, a, b)
+                missed |= by_roots(seed_round(alg, a, b)) != want
+        short += missed
+    assert short >= 50, short
+
+
 def test_closure_stops_on_a_proven_pair_or_a_completed_span():
     # on t3 (0, a, 1) Cg(a,1) is {0},{a,1}; the SI test relies on both stops
     sides = _sides(T3)
@@ -183,6 +250,18 @@ def test_closure_stops_on_a_proven_pair_or_a_completed_span():
     assert _closure(sides, [(1, 2)], span=[(1, 2), (0, 1)]) == (0, 1, 1)
     assert _closure(sides, [(1, 2)], span=[(1, 2)]) is None
     assert _closure(sides, [(0, 1)]) == (0, 0, 0)
+    # stops that no seed-round merge can make, so they come in a translate
+    # round: the seed round leaves x and y apart and merges no pair of apart
+    alg, a, b, x, y, seeded = translate_round_case()
+    assert alg.mul != tuple(zip(*alg.mul)) and alg.add != tuple(zip(*alg.add))
+    sides = _sides(alg)
+    cg = _closure(sides, _seeds(alg, a, b))
+    outside = next((p, q) for p, q in combinations(range(alg.size), 2) if cg[p] != cg[q])
+    assert cg[x] == cg[y]
+    assert _closure(sides, _seeds(alg, a, b), span=[(x, y), outside]) == cg
+    assert _closure(sides, _seeds(alg, a, b), span=[(x, y)]) is None
+    apart = {(u, v) for u in range(alg.size) for v in range(alg.size) if seeded[u] != seeded[v]}
+    assert _closure(sides, _seeds(alg, a, b), span=[outside], proven=apart) is None
 
 
 # --- subdirect irreducibility -------------------------------------------------
