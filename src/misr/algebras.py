@@ -16,7 +16,7 @@ import itertools
 import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Mapping
 
 from .normal import monomials_over
@@ -121,10 +121,29 @@ def parse_identity(text: str, name: str = "") -> Identity:
     return Identity(left, right, name)
 
 
-# Most points one block of holds sweeps.  Blocks keep the masks short: one
-# sweep over all 17^4 points of lplus1(boolean_lattice(4)) would hold 17
-# masks of 83 521 bits per node.
-_BLOCK_POINTS = 4096
+# Most points in holds' first block, which keeps an early witness cheap, and
+# in each later block, whose masks then hold at most 65 536 bits (8 KB).
+_FIRST_BLOCK_POINTS = 4096
+_BLOCK_POINTS = 65536
+
+
+def _hoist(code: list, leaves: list, h: int, rest: list, add, mul) -> tuple[list, list, list]:
+    """Evaluate once each maximal subterm of code free of the first h leaves,
+    given rest, the others' values.  Returns the keys, their values and the
+    code left, in which a rising int key stands for each such subterm."""
+    heads, values, residual = set(leaves[:h]), dict(zip(leaves[h:], rest)), []
+    for op in code:
+        if isinstance(op, bool) and not type(residual[-2]) is int is type(residual[-1]) or op in heads:
+            residual.append(op)
+            continue
+        if isinstance(op, bool):  # both operands are free: pop the two highest ints
+            right, left = values.pop(residual.pop()), values.pop(residual.pop())
+            value = (mul if op else add)(left, right)
+        else:
+            value = values[op]
+        residual.append(len(values))
+        values[len(values)] = value
+    return leaves[:h] + list(values), list(values.values()), residual
 
 
 def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | None]:
@@ -135,27 +154,17 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     ascending.
 
     The assignments are visited in itertools.product order, a block at a
-    time: the leading variables are fixed within a block and the trailing
-    ones swept.  Each side is evaluated on a whole block at once as a list
-    of bitmasks, one per element, in which bit p is set when the side
-    equals that element at the block's p-th point.
+    time: the leading (head) variables are fixed within a block and the
+    trailing ones swept.  Each side is evaluated on a whole block at once as
+    a list of bitmasks, one per element, in which bit p is set when the side
+    equals that element at the block's p-th point.  A first block of up to
+    _FIRST_BLOCK_POINTS goes alone when the later ones, of up to _BLOCK_POINTS,
+    are larger; subterms free of the head variables are computed once.
     """
     code = postfix(ident.lhs, ident.rhs)
-    vs = sorted({op.index for op in code if isinstance(op, Var)})
+    named = {op.index: op for op in code if isinstance(op, Var)}  # masks hit these by identity
+    vs = sorted(named)
     k, n = alg.size, len(vs)
-    swept = 1 if n else 0
-    while swept < n and k ** (swept + 1) <= _BLOCK_POINTS:
-        swept += 1
-    full = (1 << k**swept) - 1
-    # the masks of a value that is element v at every point of the block
-    constant = [[full if e == v else 0 for e in range(k)] for v in range(k)]
-    # the swept variable at position t is v on runs of k**(swept-1-t)
-    # points, repeated with period k times that
-    runs = [k ** (swept - 1 - t) for t in range(swept)]
-    sweep = []
-    for r in runs:
-        repeat = full // ((1 << (k * r)) - 1)  # a 1 every k*r bits
-        sweep.append([(((1 << r) - 1) << (v * r)) * repeat for v in range(k)])
 
     def combine(table, left: list[int], right: list[int]) -> list[int]:
         rs = [(b, mb) for b, mb in enumerate(right) if mb]
@@ -170,17 +179,38 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
         return out
 
     add, mul = partial(combine, alg.add), partial(combine, alg.mul)
-    leaves = [Var(v) for v in vs] + [ZERO, ONE]
-    units = [constant[alg.zero], constant[alg.one]]
-    for head in itertools.product(range(k), repeat=n - swept):
-        masks = dict(zip(leaves, [constant[v] for v in head] + sweep + units))
-        lhs, rhs = run(code, masks.__getitem__, add, mul)
-        diff = 0
-        for ml, mr in zip(lhs, rhs):
-            diff |= ml ^ mr
-        if diff:
-            p = (diff & -diff).bit_length() - 1
-            return False, dict(zip(vs, head + tuple(p // r % k for r in runs)))
+    first = 1 if n else 0  # the variables swept in the first block, then in the large ones
+    while first < n and k ** (first + 1) <= _FIRST_BLOCK_POINTS:
+        first += 1
+    large = first
+    while large < n and k ** (large + 1) <= _BLOCK_POINTS:
+        large += 1
+    every = itertools.product(range(k), repeat=n - large)
+    passes = [(first, [(0,) * (n - first)]), (large, every)] if first < large else [(large, every)]
+    leaves = [named[v] for v in vs] + [ZERO, ONE]
+    for swept, heads in passes:
+        full = (1 << k**swept) - 1
+        # the masks of a value that is element v at every point of the block
+        constant = [[full if e == v else 0 for e in range(k)] for v in range(k)]
+        # the swept variable at position t is v on runs of k**(swept-1-t)
+        # points, repeated with period k times that
+        runs = [k ** (swept - 1 - t) for t in range(swept)]
+        sweep, repeat = [], 1
+        for r in runs:  # repeat has a 1 every k*r bits: shifts build it in linear time
+            ones = (repeat << r) - repeat
+            sweep.append([ones << (v * r) for v in range(k)])
+            for _ in range(k - 1):
+                repeat |= repeat << r
+        keys, rest, residual = leaves, sweep + [constant[alg.zero], constant[alg.one]], code
+        if swept == large < n:
+            keys, rest, residual = _hoist(code, leaves, n - swept, rest, add, mul)
+        for head in heads:
+            masks = dict(zip(keys, [constant[v] for v in head] + rest))
+            lhs, rhs = run(residual, masks.__getitem__, add, mul)
+            diff = reduce(operator.or_, map(operator.xor, lhs, rhs))
+            if diff:
+                p = (diff & -diff).bit_length() - 1
+                return False, dict(zip(vs, head + tuple(p // r % k for r in runs)))
     return True, None
 
 

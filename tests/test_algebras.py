@@ -266,11 +266,36 @@ def mutated(rng, t, n_vars):
     return rng.choice([a for a in atoms if a != t])
 
 
+# (first block, later blocks) point bounds of holds: the defaults, and pairs
+# that split small spaces into a first block and several large ones
+BLOCK_BOUNDS = [
+    (misr.algebras._FIRST_BLOCK_POINTS, misr.algebras._BLOCK_POINTS),
+    (10, 100),
+    (3, 30),
+]
+
+
+def assert_holds_as_reference(monkeypatch, alg, ident, expected=None):
+    """holds agrees with holds_by_labels under every pair of BLOCK_BOUNDS,
+    and with expected when given."""
+    reference = holds_by_labels(alg, ident)
+    assert expected is None or reference == expected
+    for first, block in BLOCK_BOUNDS:
+        monkeypatch.setattr(misr.algebras, "_FIRST_BLOCK_POINTS", first)
+        monkeypatch.setattr(misr.algebras, "_BLOCK_POINTS", block)
+        assert holds(alg, ident) == reference, (alg.name, ident, first, block)
+    monkeypatch.undo()
+    return reference[0]
+
+
 def test_holds_agrees_with_pointwise_reference(monkeypatch):
     rng = Random(20261018)
     algebras = [builtin(name) for name in BUILTIN_NAMES]
     algebras += [lplus1(boolean_lattice(k)) for k in (1, 2, 3)]
     algebras += [direct_product(T3, T3), random_algebra(Random(3), 3)]
+    # at (10, 100) the later blocks sweep 3 variables of 4 elements and 2 of
+    # 7 or 10; at (3, 30) one of 20
+    algebras += [random_tables(Random(size), size, c) for size in (4, 7, 10, 20) for c in (False, True)]
     verdicts = []
     for alg in algebras:
         for _ in range(24):
@@ -283,15 +308,38 @@ def test_holds_agrees_with_pointwise_reference(monkeypatch):
             rhs = commuted(rng, lhs)
             if rng.random() < 0.5:
                 rhs = mutated(rng, rhs, n)
-            ident = Identity(lhs, rhs)
-            expected = holds_by_labels(alg, ident)
-            verdicts.append(expected[0])
-            # the default block size, and one that splits spaces of over 10 points
-            for block in (misr.algebras._BLOCK_POINTS, 10):
-                monkeypatch.setattr(misr.algebras, "_BLOCK_POINTS", block)
-                assert holds(alg, ident) == expected, (alg.name, ident, block)
-            monkeypatch.undo()
+            verdicts.append(assert_holds_as_reference(monkeypatch, alg, Identity(lhs, rhs)))
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+# At the bounds (3, 30), two's 64 points in 6 variables are a first block of
+# 2 (x6 swept), then 4 blocks of 16 with x1 and x2 fixed; t3's and a random
+# 3-element table's 81 points in 4 variables are a first block of 3, then 3
+# blocks of 27 with x1 fixed.
+PINNED_WITNESSES = [
+    # inside the first block
+    (TWO, "x1*x2*x3*x4*x5 + x6 = x1*x2*x3*x4*x5", {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1}),
+    # at the first point after it
+    (TWO, "x1*x2*x3*x4*x6 + x5 = x1*x2*x3*x4*x6", {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 0}),
+    # in the last large block
+    (TWO, "x1*x2*x3 = x1*x2*x3*x4 + x5*x6*0", {1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 0}),
+    # the left side is free of x1 and x2 as a whole
+    (TWO, "x3*x4 + x5*x6 = x1*x2 + x3*x4 + x5*x6", {1: 1, 2: 1, 3: 0, 4: 0, 5: 0, 6: 0}),
+    (T3, "x2*x3 + x4 = x1 + x2*x3 + x4", {1: 1, 2: 0, 3: 0, 4: 0}),
+    # a left operand free of x1 under *, on symmetric and on random tables
+    (S3, "(x2 + x3*x4)*x1 = x1*x2 + x3*x4*x1", None),
+    (random_algebra(Random(3), 3), "(x2 + x3*x4)*x1 = x1*(x2 + x3)", None),
+    (random_algebra(Random(3), 3), "(x2 + x3*x4)*x1 = (x2 + x3*x4)*x1", None),
+    # no variables
+    (T3, "1+1 = 1", {}),
+    (TWO, "1+1 = 1", None),
+]
+
+
+@pytest.mark.parametrize("alg, text, witness", PINNED_WITNESSES)
+def test_holds_pinned_witnesses(monkeypatch, alg, text, witness):
+    expected = (False, witness) if witness is not None else None
+    assert_holds_as_reference(monkeypatch, alg, parse_identity(text), expected)
 
 
 # --- axiom reports -----------------------------------------------------------
@@ -425,11 +473,20 @@ def test_lplus1_unit_behaviour():
         assert alg.mul[x][one] == x
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 7))
 def test_lplus1_is_always_absorptive_never_boolean(k):
-    report = check_axioms(lplus1(boolean_lattice(k)))
+    alg = lplus1(boolean_lattice(k))
+    report = check_axioms(alg)
     assert report.is_absorptive
     assert not report.is_boolean
+    # 1+x+x is the top, not 1, from the least element above 0 on
+    assert [(c.name, c.witness) for c in report.checks if not c.ok] == [("boolean-law", ((1, 1),))]
+    assert alg.zero == 0
+
+
+def test_lattice_problem_sweeps_many_blocks():
+    # 64 blocks of 4096 points with x1 fixed, at the default bounds
+    assert misr.algebras._lattice_problem(boolean_lattice(6)) is None
 
 
 def test_lplus1_rejects_trivial_lattice():
