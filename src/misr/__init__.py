@@ -19,7 +19,6 @@ from .terms import (
     ZERO,
     parse,
     term_size,
-    to_text,
     variables,
 )
 from .normal import (

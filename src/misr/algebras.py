@@ -86,9 +86,12 @@ def eval_term(alg: FiniteSemiring, t: Term, env: Mapping[int, int]) -> int:
     def leaf(op: Term) -> int:
         if isinstance(op, Var):
             try:
-                return env[op.index]
+                value = env[op.index]
             except KeyError:
                 raise ValueError(f"unbound variable x{op.index}") from None
+            if not 0 <= value < alg.size:
+                raise ValueError(f"x{op.index} is bound to {value}, outside range({alg.size})")
+            return value
         return alg.one if isinstance(op, One) else alg.zero
 
     add, mul = alg.add, alg.mul

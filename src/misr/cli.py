@@ -151,12 +151,14 @@ def _cmd_si(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    reps, text = _listing(args.n, args.max_arity)
-    print(len(reps))
-    if args.list:
-        # sorting the texts orders them as enumerate_reduced orders the forms
-        for line in sorted(map(text, reps)):
-            print(line.decode())
+    walk, text = _listing(args.n, args.max_arity)
+    if not args.list:  # counted as they are generated: no form is kept
+        print(sum(1 for _ in walk))
+        return 0
+    lines = sorted(map(text, walk))  # the texts sort as enumerate_reduced's forms
+    print(len(lines))
+    for line in lines:
+        print(line.decode())
     return 0
 
 

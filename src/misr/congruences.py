@@ -47,9 +47,11 @@ class Partition:
     def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
         least: dict[int, int] = {}
         for block in map(set, blocks):
+            if not block:
+                raise ValueError("a block is empty")
             if not block.isdisjoint(least):
                 raise ValueError("blocks overlap")
-            least.update(dict.fromkeys(block, min(block, default=0)))
+            least.update(dict.fromkeys(block, min(block)))
         if least.keys() != set(range(size)):
             raise ValueError("blocks do not partition the carrier")
         return Partition(tuple(least[x] for x in range(size)))

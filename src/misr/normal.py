@@ -7,8 +7,9 @@ I_i ∪ I_j ⊆ I_k (which forces I_i ⊆ I_k and I_j ⊆ I_k) is sound under th
 absorption law x+y+x*y*z = x+y, and the surviving reduced form is a unique
 normal form: two terms denote the same element of the free algebra exactly
 when their reduced forms coincide.  reduce_rep makes all the deletions in
-one pass over the summands by size, flatten runs it at every product while
-it expands a term, and find_reducible locates a single deletion triple.
+one pass over the summands by size, normalize (also named flatten) runs it
+at every product while it expands a term, and find_reducible locates a
+single deletion triple.
 """
 
 from __future__ import annotations
@@ -36,10 +37,14 @@ def monomials_over(n: int) -> tuple[Monomial, ...]:
     )
 
 
-def flatten(t: Term) -> SumOfProducts:
-    """The normal form of t, sorted by monomial_key.  Each product is reduced
-    as soon as it is expanded from reduced operands, so no multiplicity ever
-    exceeds 2; a sum is only concatenated, and reduced as an operand or root.
+def normalize(t: Term) -> SumOfProducts:
+    """The unique reduced form of t, sorted by monomial_key.  Each product is
+    reduced as soon as it is expanded from reduced operands, so no
+    multiplicity ever exceeds 2; a sum is only concatenated, and reduced as
+    an operand or root.
+
+    >>> rep_text(normalize(parse("x+y+x*y*z")))
+    'x1+x2'
     """
     # a tuple is reduced, and so is a list of fewer than 3 summands; a sum
     # extends the longer operand in place as a list, so that a long sum takes
@@ -71,6 +76,9 @@ def flatten(t: Term) -> SumOfProducts:
     rep = sorted(reduce_rep(rep) if type(rep) is list else rep, key=sorted)
     rep.sort(key=len)
     return tuple(rep)
+
+
+flatten = normalize
 
 
 def find_reducible(rep: SumOfProducts) -> tuple[int, int, int] | None:
@@ -138,15 +146,6 @@ def reduce_rep(rep: SumOfProducts | list[Monomial]) -> SumOfProducts:
                 same.append(mono)
     kept.sort()
     return tuple(map(rep.__getitem__, kept))
-
-
-def normalize(t: Term) -> SumOfProducts:
-    """The unique reduced form of t, which flatten computes.
-
-    >>> rep_text(normalize(parse("x+y+x*y*z")))
-    'x1+x2'
-    """
-    return flatten(t)
 
 
 def rep_text(rep: SumOfProducts) -> str:

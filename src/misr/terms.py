@@ -230,36 +230,6 @@ def run(code: list[Term | bool], leaf, add, mul) -> list:
     return stack
 
 
-def to_text(t: Term) -> str:
-    """Render with canonical variable names and minimal parentheses.
-
-    The output round-trips: parse(to_text(t)) == t.  Since both operators
-    parse left-associatively, a right child at the same precedence level is
-    parenthesized.
-    """
-    out: list[str] = []
-    # a string is written as it is; a (term, least precedence it may have
-    # without parentheses) pair is expanded in its place
-    stack: list = [(t, 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        t, least = item
-        if isinstance(t, (Add, Mul)):
-            prec, sign = (2, "*") if isinstance(t, Mul) else (1, "+")
-            parts = [(t.left, prec), sign, (t.right, prec + 1)]
-            stack += reversed(["(", *parts, ")"] if prec < least else parts)
-        elif isinstance(t, Var):
-            out.append(f"x{t.index}")
-        elif isinstance(t, (Zero, One)):
-            out.append("1" if isinstance(t, One) else "0")
-        else:
-            raise TypeError(f"not a term: {t!r}")
-    return "".join(out)
-
-
 def variables(t: Term) -> frozenset[int]:
     """The set of variable indices occurring in t."""
     return frozenset(op.index for op in postfix(t) if isinstance(op, Var))

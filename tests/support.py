@@ -1,7 +1,7 @@
-"""Shared test helpers: independent mini-evaluator, term generators, the
-unreduced expansion of a term, random tables, the exhaustive congruence
-oracle, the clone closure in rounds, the listing of reduced forms by
-placement and a check for cyclic garbage.
+"""Shared test helpers: independent mini-evaluator, term generators, a
+recursive term printer, the unreduced expansion of a term, random tables,
+the exhaustive congruence oracle, the clone closure in rounds, the listing
+of reduced forms by placement and a check for cyclic garbage.
 
 Everything here is deliberately self-contained so that oracle-based tests do
 not exercise the code paths they are checking: the evaluator works over
@@ -79,6 +79,25 @@ def random_term(rng: Random, max_nodes: int, n_vars: int) -> Term:
 
     term, _ = go(max_nodes)
     return term
+
+
+def reference_to_text(t, parent=0, right=False):
+    """Text with canonical variable names and minimal parentheses, by
+    structural recursion; parse reads it back as t."""
+    match t:
+        case Zero():
+            return "0"
+        case One():
+            return "1"
+        case Var(i):
+            return f"x{i}"
+        case Add(l, r):
+            s = reference_to_text(l, 1, False) + "+" + reference_to_text(r, 1, True)
+            return f"({s})" if parent > 1 or (parent == 1 and right) else s
+        case Mul(l, r):
+            s = reference_to_text(l, 2, False) + "*" + reference_to_text(r, 2, True)
+            return f"({s})" if parent == 2 and right else s
+    raise TypeError(f"not a term: {t!r}")
 
 
 def terms_strategy(max_index: int = 3, max_leaves: int = 20):

@@ -120,6 +120,15 @@ def test_eval_unbound_variable():
         eval_term(T3, parse("x3*(x1+x2)"), {1: 0})
 
 
+def test_eval_rejects_element_indices_outside_the_carrier():
+    with pytest.raises(ValueError, match="x1 is bound to 7"):
+        eval_term(T3, parse("x"), {1: 7})
+    with pytest.raises(ValueError, match="x1 is bound to 7"):
+        eval_term(T3, parse("x+y"), {1: 7, 2: 0})
+    with pytest.raises(ValueError, match="x2 is bound to -1"):
+        eval_term(T3, parse("x+y"), {1: 0, 2: -1})
+
+
 def label_tables(alg):
     """alg's add and mul tables keyed by labels, and the labels of 0 and 1,
     as support.eval_labels takes them."""

@@ -7,7 +7,7 @@ import misr
 PUBLIC = {
     # terms
     "Add", "Mul", "One", "ONE", "Term", "TermSyntaxError", "Var", "Zero", "ZERO",
-    "parse", "term_size", "to_text", "variables",
+    "parse", "term_size", "variables",
     # normal
     "Monomial", "SumOfProducts", "decide_equal", "find_reducible", "flatten",
     "monomial_key", "monomials_over", "normalize", "reduce_rep", "rep_text",

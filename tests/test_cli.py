@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,29 @@ def test_enumerate_list_prints_the_library_order(capsys):
     code, out, err = run_cli(capsys, "enumerate", "-n", "3", "--list")
     assert code == 0 and err == ""
     assert out.splitlines() == ["135"] + [rep_text(r) for r in enumerate_reduced(3)]
+
+
+def test_enumerate_counts_without_keeping_the_forms(capsys):
+    main(["enumerate", "-n", "0"])  # builds the parser before the measurement
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "-n", "4", "--max-arity", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == "3\n4134\n"
+    # the 4134 forms alone take more than 300 KB
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_enumerate_count_and_list_agree_with_the_library(capsys, k):
+    count = len(enumerate_reduced(k, cap=4))
+    argv = ["enumerate", "-n", str(k), "--max-arity", "4"]
+    assert run_cli(capsys, *argv) == (0, f"{count}\n", "")
+    code, out, err = run_cli(capsys, *argv, "--list")
+    lines = out.splitlines()
+    assert (code, err, lines[0], len(lines)) == (0, "", str(count), count + 1)
 
 
 def test_enumerate_over_cap(capsys):

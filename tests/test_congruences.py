@@ -55,7 +55,7 @@ def test_partition_canonical_form():
 def test_partition_from_iterator_blocks():
     p = Partition.from_blocks(3, (iter([0, 1]), iter([2])))
     assert p.blocks == ((0, 1), (2,))
-    assert Partition.from_blocks(3, (iter([2]), iter([]), iter([1, 0]))) == p
+    assert Partition.from_blocks(3, (iter([2]), iter([1, 0]))) == p
 
 
 def test_partition_must_cover_carrier():
@@ -63,6 +63,13 @@ def test_partition_must_cover_carrier():
         Partition.from_blocks(3, [[0, 1]])
     with pytest.raises(ValueError):
         Partition.from_blocks(3, [[0, 1], [1, 2]])
+
+
+def test_partition_rejects_an_empty_block():
+    with pytest.raises(ValueError, match="a block is empty"):
+        Partition.from_blocks(2, [[0, 1], []])
+    with pytest.raises(ValueError, match="a block is empty"):
+        Partition.from_blocks(2, (iter([0]), iter([]), iter([1])))
 
 
 def test_partition_meet_and_refines():

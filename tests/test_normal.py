@@ -23,7 +23,6 @@ from misr import (
     parse,
     reduce_rep,
     rep_text,
-    to_text,
 )
 from support import (
     T3_ADD,
@@ -32,6 +31,7 @@ from support import (
     eval_labels,
     expand,
     random_term,
+    reference_to_text,
     t3_agree,
     terms_strategy,
 )
@@ -275,7 +275,7 @@ def test_randomized_deletion_order_reaches_same_form():
     def walk(t):
         # from the unreduced expansion: flatten's output is already reduced
         # and would leave nothing to delete
-        rng = Random(to_text(t))
+        rng = Random(reference_to_text(t))
         rep = expand(t)
         size = len(rep)
         while positions := deletable(rep):

@@ -25,10 +25,9 @@ from misr import (
     parse_identity,
     rep_text,
     term_size,
-    to_text,
     variables,
 )
-from support import no_cyclic_garbage, random_term, terms_strategy
+from support import no_cyclic_garbage, random_term, reference_to_text, terms_strategy
 
 x1, x2, x3 = Var(1), Var(2), Var(3)
 
@@ -140,18 +139,6 @@ def test_parse_leaves_no_cyclic_garbage():
         parse("x*(y+")
 
 
-def test_to_text_examples():
-    assert to_text(Add(x1, x1)) == "x1+x1"
-    assert to_text(Mul(Add(x1, x2), x3)) == "(x1+x2)*x3"
-    assert to_text(ZERO) == "0"
-
-
-def test_to_text_parenthesizes_right_nesting():
-    assert to_text(Add(x1, Add(x2, x3))) == "x1+(x2+x3)"
-    assert to_text(Mul(x1, Mul(x2, x3))) == "x1*(x2*x3)"
-    assert to_text(Add(Add(x1, x2), x3)) == "x1+x2+x3"
-
-
 def test_variables_examples():
     assert variables(parse("x+y*x")) == frozenset({1, 2})
     assert variables(ZERO) == frozenset()
@@ -174,28 +161,10 @@ def test_operator_sugar_builds_nodes():
 
 @given(terms_strategy(max_index=12))
 def test_round_trip(t):
-    assert parse(to_text(t)) == t
+    assert parse(reference_to_text(t)) == t
 
 
 # --- the walks against recursive references ------------------------------------
-
-def reference_to_text(t, parent=0, right=False):
-    """The recursive printer that to_text replaced."""
-    match t:
-        case Zero():
-            return "0"
-        case One():
-            return "1"
-        case Var(i):
-            return f"x{i}"
-        case Add(l, r):
-            s = reference_to_text(l, 1, False) + "+" + reference_to_text(r, 1, True)
-            return f"({s})" if parent > 1 or (parent == 1 and right) else s
-        case Mul(l, r):
-            s = reference_to_text(l, 2, False) + "*" + reference_to_text(r, 2, True)
-            return f"({s})" if parent == 2 and right else s
-    raise TypeError(f"not a term: {t!r}")
-
 
 def reference_variables(t):
     """The recursive variable collector that variables replaced."""
@@ -213,11 +182,10 @@ def test_walks_agree_with_recursive_references():
     rng = Random(20261019)
     for _ in range(2000):
         t = random_term(rng, rng.randint(1, 40), rng.randint(0, 6))
-        assert to_text(t) == reference_to_text(t)
         assert variables(t) == reference_variables(t)
 
 
-@pytest.mark.parametrize("walk", [to_text, variables])
+@pytest.mark.parametrize("walk", [variables])
 def test_walks_reject_non_terms(walk):
     with pytest.raises(TypeError, match="not a term"):
         walk(Add(x1, "x2"))
@@ -248,14 +216,7 @@ def test_walks_do_not_recurse_on_depth(node, side):
     # built directly, since parse still recurses on parentheses
     assert sys.getrecursionlimit() < DEPTH
     leaves = [Var(i % 3 + 1) for i in range(DEPTH + 1)]
-    texts = [f"x{leaf.index}" for leaf in leaves]
-    sign = "+" if node is Add else "*"
     t = nested(node, leaves, side)
-    if side == "left":
-        expected = sign.join(texts)
-    else:
-        expected = f"{sign}(".join(texts[:-1]) + sign + texts[-1] + ")" * (DEPTH - 1)
-    assert to_text(t) == expected
     assert variables(t) == {1, 2, 3}
     t3 = builtin("t3")
     # a sum of two or more 1s is a, and a product of 1s is 1
