@@ -17,7 +17,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .normal import monomials_over
 from .terms import ONE, ZERO, One, Term, TermSyntaxError, Var, parse, postfix, run, variables
@@ -73,9 +73,10 @@ class FiniteSemiring:
 
 
 def _sides(alg: FiniteSemiring) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Both tables by rows and by columns: row x of each lists x+c, c+x, x*c
-    and c*x over every c."""
-    return alg.add, tuple(zip(*alg.add)), alg.mul, tuple(zip(*alg.mul))
+    """The distinct tables among add and mul by rows and by columns, in that
+    order (row x lists x+c, c+x, x*c, c*x): a commutative table is read once."""
+    tables = alg.add, tuple(zip(*alg.add)), alg.mul, tuple(zip(*alg.mul))
+    return tuple(t for i, t in enumerate(tables) if t not in tables[:i])
 
 
 # --- evaluation and identities ----------------------------------------------
@@ -217,10 +218,9 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     return True, None
 
 
-def _format_witness(alg: FiniteSemiring, env: Mapping[int, int]) -> str:
-    if not env:
-        return "the empty assignment"
-    return ", ".join(f"x{i}={alg.elements[v]}" for i, v in sorted(env.items()))
+def _format_witness(alg: FiniteSemiring, pairs: Iterable[tuple[int, int]]) -> str:
+    """(variable, element) pairs, variables ascending, as "x1=a, x2=0"."""
+    return ", ".join(f"x{i}={alg.elements[v]}" for i, v in pairs) or "the empty assignment"
 
 
 MUL_IDEMPOTENCE = parse_identity("x*x = x", "mul-idempotent")
@@ -326,7 +326,7 @@ def _lattice_problem(lat: FiniteSemiring) -> str | None:
     for law in _LATTICE_BASIS:
         ok, env = holds(lat, law)
         if not ok:
-            return f"{law.name} fails at {_format_witness(lat, env)}"
+            return f"{law.name} fails at {_format_witness(lat, env.items())}"
     return None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 
@@ -30,9 +31,12 @@ from .algebras import (
 from .congruences import is_subdirectly_irreducible
 from .enumeration import DEFAULT_ARITY_CAP, _listing
 from .normal import normalize, rep_text
-from .terms import Term, TermSyntaxError, Var, parse, term_size
+from .terms import Term, TermSyntaxError, Var, parse, term_size, variables
 
 DEFAULT_MAX_NODES = 64
+# the most assignments `check` sweeps, such as 3**16 on t3 or 65**4 on the
+# 65-element lplus1(B_6); holds itself takes any number
+MAX_CHECK_ASSIGNMENTS = 10**8
 
 
 def _parse_capped(text: str, max_nodes: int) -> Term:
@@ -111,12 +115,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     alg = _resolve_algebra(args.algebra)
     ident = parse_identity(args.identity)
+    n, k = len(variables(ident.lhs) | variables(ident.rhs)), alg.size
+    if k**n > MAX_CHECK_ASSIGNMENTS:
+        raise ValueError(
+            f"{n} variables over {k} elements make {k}**{n} (about 10**{n * math.log10(k):.1f}) "
+            f"assignments, more than the limit of {MAX_CHECK_ASSIGNMENTS}"
+        )
     ok, env = holds(alg, ident)
     if ok:
         print("holds")
         return 0
     assert env is not None
-    print(f"fails at {_format_witness(alg, env)}")
+    print(f"fails at {_format_witness(alg, env.items())}")
     return 1
 
 
@@ -127,8 +137,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         if check.ok:
             print(f"{check.name}: ok")
         else:
-            witness = dict(check.witness or ())
-            print(f"{check.name}: fails at {_format_witness(alg, witness)}")
+            print(f"{check.name}: fails at {_format_witness(alg, check.witness)}")
     print(f"semiring: {'yes' if report.is_semiring else 'no'}")
     print(
         "commutative-idempotent: "

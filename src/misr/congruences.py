@@ -3,7 +3,8 @@
 A congruence is a partition compatible with both Cayley tables, kept as the
 least element of each element's block: a canonical form, so equal partitions
 compare and hash equal.  One union-find closure answers every question: it
-merges its seed pairs, then closes under translates in rounds of whole rows.
+merges its seed pairs, then closes under translates in rounds of whole rows
+of each table and its transpose (see _sides: a commutative table once).
 Cg(a,b) is seeded with (a,b) and every (c*a+d, c*b+d), pairs of Cg(a,b) by
 Mal'cev's lemma.  In a commutative semiring with x*x = x each unary
 polynomial is some c*x+d (its monomials are constants times x^j = x), so the
@@ -105,9 +106,9 @@ def _closure(
     """The congruence generated by the seed pairs: each element's least block
     element (a merge hangs the larger root under the smaller), or None right
     after a merge that hits a pair in proven or completes span, if given.
-    After the seeds, each round merges the rows x and least[x] of each side
-    of each table cell by cell where they differ once mapped to blocks; a
-    round that finds none ends the closure, as its blocks are compatible.
+    After the seeds, each round merges the rows x and least[x] of each table
+    in sides (a commutative one once) cell by cell where they differ once
+    mapped to blocks; a round that finds none ends, its blocks compatible.
     """
     parent = list(range(len(sides[0])))
 
@@ -160,8 +161,8 @@ def principal_congruence(alg: FiniteSemiring, a: int, b: int) -> Partition:
 
 
 def is_congruence(alg: FiniteSemiring, part: Partition) -> bool:
-    """Is the partition compatible with both tables?  Exactly when closing
-    its spanning pairs (x, least[x]) merges nothing more.
+    """Compatible with both tables (reading a commutative one once)?  Iff
+    closing its spanning pairs (x, least[x]) merges nothing more.
 
     >>> from misr import builtin
     >>> is_congruence(builtin("t3"), Partition.from_blocks(3, [[0, 1], [2]]))

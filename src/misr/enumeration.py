@@ -104,8 +104,8 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
     distributive-right gives s*t = p1*t+..+pm*t and distributive-left gives
     pi*t = pi*q1+..+pi*qr, a sum over P.  So S is the clone.  Other tables
     are closed generically: each function taken off the worklist is
-    combined with itself and with each function taken before it, on both
-    sides of both tables.
+    combined with itself and with each function taken before it, on each
+    side of each table, reading a commutative table once.
 
     A function is one int whose digit p, max(1, (k-1).bit_length()) bits
     wide on a carrier of k elements, is its value at the p-th point of
@@ -161,5 +161,4 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
     if alg._sums_of_products:
         products = close(gens, (alg.mul,), gens)
         return len(close(products, (alg.add,), products))
-    # a commutative table equals its transpose, which adds nothing new
-    return len(close(gens, tuple(dict.fromkeys(_sides(alg))), None))
+    return len(close(gens, _sides(alg), None))

@@ -100,6 +100,33 @@ def test_malformed_tables_rejected():
         FiniteSemiring("bad", ("0", "0"), ((0, 0), (0, 0)), ((0, 0), (0, 0)), 0, 1)
     with pytest.raises(ValueError):
         FiniteSemiring("bad", ("0", "1"), ((0, 2), (0, 1)), ((0, 0), (0, 1)), 0, 1)
+    with pytest.raises(ValueError, match="carrier must be non-empty"):
+        FiniteSemiring("bad", (), (), (), 0, 0)
+    with pytest.raises(ValueError, match="one index out of range"):
+        FiniteSemiring("bad", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 2)
+
+
+# --- the translation tables of congruences and clones -------------------------
+
+def test_sides_lists_each_distinct_table_once():
+    # add by rows, add by columns, mul by rows, mul by columns, each distinct one once
+    for alg in [builtin(name) for name in BUILTIN_NAMES] + [lplus1(boolean_lattice(k)) for k in range(1, 7)]:
+        assert misr.algebras._sides(alg) == (alg.add, alg.mul)
+    join = ((0, 1, 2), (1, 1, 2), (2, 2, 2))  # max on the chain 0 < 1 < 2: commutative
+    first = ((0, 0, 0), (1, 1, 1), (2, 2, 2))  # x.y = x, whose columns are x.y = y
+    second = ((0, 1, 2),) * 3
+    mixed = ((0, 0, 0), (0, 1, 1), (0, 2, 2))  # not commutative: 1.2 = 1, 2.1 = 2
+    mixed_columns = ((0, 0, 0), (0, 1, 2), (0, 1, 2))
+
+    def sides(add, mul):
+        return misr.algebras._sides(FiniteSemiring("m", ("0", "1", "2"), add, mul, 0, 2))
+
+    assert sides(join, join) == (join,)
+    assert sides(join, first) == (join, first, second)
+    assert sides(first, join) == (first, second, join)
+    assert sides(first, mixed) == (first, second, mixed, mixed_columns)
+    assert sides(mixed, first) == (mixed, mixed_columns, first, second)
+    assert sides(first, second) == (first, second)  # mul's rows are add's columns
 
 
 # --- evaluation --------------------------------------------------------------
@@ -360,6 +387,8 @@ def test_t3_axiom_report():
     assert report.is_absorptive
     assert not report.is_boolean
     assert all(c.ok for c in report.checks if c.name != "boolean-law")
+    with pytest.raises(KeyError):
+        report.check("nope")
 
 
 def test_gf3_fails_mul_idempotence_at_two():
@@ -812,6 +841,7 @@ def test_parse_algebra_trailing_newlines_ok():
         (lambda ls: ls[:5] + ["0 a"] + ls[6:], 6),
         (lambda ls: ls[:7] + ["1 a q"] + ls[8:], 8),
         (lambda ls: ls + ["extra"], 13),
+        pytest.param(lambda ls: ls[:1] + ["elements: 0 a a"] + ls[2:], 2, id="duplicate-label"),
         pytest.param(
             lambda ls: ls[:1] + [" ".join("é" if w == "a" else w for w in l.split(" ")) for l in ls[1:]],
             2,

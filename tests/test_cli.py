@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from misr import (
     parse_algebra,
     rep_text,
 )
+import misr.cli
 from misr.cli import main
 from support import T3_ADD, T3_MUL, eval_labels, lplus1_monolith
 
@@ -152,6 +154,32 @@ def test_check_nullary_witness(capsys):
     code, out, _ = run_cli(capsys, "check", "t3", "1+1 = 1")
     assert code == 1
     assert out == "fails at the empty assignment\n"
+
+
+def test_check_refuses_too_many_assignments_before_any_work(capsys, tmp_path):
+    assert main(["build-lplus1", "-k", "4"]) == 0
+    path = tmp_path / "b4.alg"
+    path.write_text(capsys.readouterr().out)
+    # 17**8, about 7.0e9 assignments: holds would sweep them for hours
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "check", str(path), "x1+x2+x3+x4+x5+x6+x7+x8 = x8+x7+x6+x5+x4+x3+x2+x1*x1"
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == (
+        "error: 8 variables over 17 elements make 17**8 (about 10**9.8) assignments, "
+        f"more than the limit of {misr.cli.MAX_CHECK_ASSIGNMENTS}\n"
+    )
+
+
+def test_check_answers_up_to_its_limit(capsys, monkeypatch):
+    monkeypatch.setattr(misr.cli, "MAX_CHECK_ASSIGNMENTS", 27)
+    assert run_cli(capsys, "check", "t3", "x+y+x*y*z = x+y") == (0, "holds\n", "")
+    assert run_cli(capsys, "check", "t3", "x*y*z = x") == (1, "fails at x1=a, x2=0, x3=0\n", "")
+    code, out, err = run_cli(capsys, "check", "t3", "x1+x2+x3+x4 = x4+x3+x2+x1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 4 variables over 3 elements make 3**4") and err.endswith("limit of 27\n")
 
 
 # --- axioms ----------------------------------------------------------------------
@@ -379,7 +407,9 @@ def test_eval_binds_labels_that_contain_commas(capsys, tmp_path):
     assert sides[0][1] != sides[1][1]
 
 
-@pytest.mark.parametrize("assignment", ["x1=a,", "x1=b,x2=0", "x1", ",x1=a"])
+@pytest.mark.parametrize(
+    "assignment", ["x1=a,", "x1=b,x2=0", "x1", ",x1=a", "x1+x2=a", "(=a", "x1=a,x1=1"]
+)
 def test_eval_rejects_malformed_bindings(capsys, assignment):
     code, out, err = run_cli(capsys, "eval", "t3", "x1", assignment)
     assert code == 2 and out == ""

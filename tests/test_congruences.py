@@ -367,3 +367,10 @@ def test_trivial_algebra_rejected():
     trivial = FiniteSemiring("triv", ("0",), ((0,),), ((0,),), 0, 0)
     with pytest.raises(ValueError):
         is_subdirectly_irreducible(trivial)
+
+
+def test_arguments_outside_the_carrier_rejected():
+    with pytest.raises(ValueError, match="element index out of range"):
+        principal_congruence(T3, 0, 3)
+    with pytest.raises(ValueError, match="partition size does not match the carrier"):
+        is_congruence(T3, Partition((0, 0)))

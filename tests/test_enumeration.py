@@ -117,6 +117,8 @@ def test_clone_counts_on_t3():
     assert clone_count(T3, 2) == 19
     assert clone_count(T3, 3) == 135
     assert clone_count(T3, 4) == len(enumerate_reduced(4, cap=4)) == 4134
+    with pytest.raises(ValueError, match="arity must be non-negative"):
+        clone_count(T3, -1)
 
 
 def test_clone_count_on_two_lattice():

@@ -185,7 +185,7 @@ def test_walks_agree_with_recursive_references():
         assert variables(t) == reference_variables(t)
 
 
-@pytest.mark.parametrize("walk", [variables])
+@pytest.mark.parametrize("walk", [variables, term_size])
 def test_walks_reject_non_terms(walk):
     with pytest.raises(TypeError, match="not a term"):
         walk(Add(x1, "x2"))
