@@ -63,6 +63,13 @@ class FiniteSemiring:
         laws = ("add-associative", "mul-associative", "distributive-left", "distributive-right")
         return all(holds(self, law)[0] for law in _SEMIRING_AXIOMS if law.name in laws)
 
+    @cached_property
+    def _sides(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The distinct tables among add and mul by rows and by columns, in that
+        order (row x lists x+c, c+x, x*c, c*x): a commutative table is read once."""
+        tables = self.add, tuple(zip(*self.add)), self.mul, tuple(zip(*self.mul))
+        return tuple(t for i, t in enumerate(tables) if t not in tables[:i])
+
     def index(self, label: str) -> int:
         try:
             return self.elements.index(label)
@@ -70,13 +77,6 @@ class FiniteSemiring:
             raise ValueError(
                 f"unknown element label {label!r} in algebra {self.name}"
             ) from None
-
-
-def _sides(alg: FiniteSemiring) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The distinct tables among add and mul by rows and by columns, in that
-    order (row x lists x+c, c+x, x*c, c*x): a commutative table is read once."""
-    tables = alg.add, tuple(zip(*alg.add)), alg.mul, tuple(zip(*alg.mul))
-    return tuple(t for i, t in enumerate(tables) if t not in tables[:i])
 
 
 # --- evaluation and identities ----------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Container, Hashable, Iterable, Iterator, Sequence
 
-from .algebras import FiniteSemiring, _sides
+from .algebras import FiniteSemiring
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def principal_congruence(alg: FiniteSemiring, a: int, b: int) -> Partition:
     """
     if not (0 <= a < alg.size and 0 <= b < alg.size):
         raise ValueError("element index out of range")
-    return Partition(_closure(_sides(alg), _seeds(alg, a, b)))
+    return Partition(_closure(alg._sides, _seeds(alg, a, b)))
 
 
 def is_congruence(alg: FiniteSemiring, part: Partition) -> bool:
@@ -170,7 +170,7 @@ def is_congruence(alg: FiniteSemiring, part: Partition) -> bool:
     """
     if part.size != alg.size:
         raise ValueError("partition size does not match the carrier")
-    return _closure(_sides(alg), enumerate(part.least)) == part.least
+    return _closure(alg._sides, enumerate(part.least)) == part.least
 
 
 def is_subdirectly_irreducible(alg: FiniteSemiring) -> tuple[bool, Partition | None]:
@@ -181,12 +181,11 @@ def is_subdirectly_irreducible(alg: FiniteSemiring) -> tuple[bool, Partition | N
     n = alg.size
     if n < 2:
         raise ValueError("subdirect irreducibility needs at least two elements")
-    sides = _sides(alg)
     least = (0,) * n  # the least element of x's block of M
     span = [(0, x) for x in range(1, n)]
     proven: set[tuple[int, int]] = set()  # pairs whose Cg contains M, both orders
     for a, b in combinations(range(n), 2):
-        roots = _closure(sides, _seeds(alg, a, b), span, proven)
+        roots = _closure(alg._sides, _seeds(alg, a, b), span, proven)
         proven.update(((a, b), (b, a)))
         if roots is not None:
             least = _least(zip(least, roots))

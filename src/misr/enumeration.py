@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator
 
-from .algebras import FiniteSemiring, _sides
+from .algebras import FiniteSemiring
 from .normal import SumOfProducts, monomials_over, rep_text
 
 DEFAULT_ARITY_CAP = 3
@@ -161,4 +161,4 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
     if alg._sums_of_products:
         products = close(gens, (alg.mul,), gens)
         return len(close(products, (alg.add,), products))
-    return len(close(gens, _sides(alg), None))
+    return len(close(gens, alg._sides, None))

@@ -7,8 +7,9 @@ I_i ∪ I_j ⊆ I_k (which forces I_i ⊆ I_k and I_j ⊆ I_k) is sound under th
 absorption law x+y+x*y*z = x+y, and the surviving reduced form is a unique
 normal form: two terms denote the same element of the free algebra exactly
 when their reduced forms coincide.  reduce_rep makes all the deletions in
-one pass over the summands by size, normalize (also named flatten) runs it
-at every product while it expands a term, and find_reducible locates a
+one pass over the summands by size, skipped when they are distinct and of
+one size (sets of one size never nest), normalize (also named flatten) runs
+it at every product while it expands a term, and find_reducible locates a
 single deletion triple.
 """
 
@@ -113,12 +114,15 @@ def reduce_rep(rep: SumOfProducts | list[Monomial]) -> SumOfProducts:
     again and again.
 
     A summand is compared only with kept summands of strictly smaller size
-    and with a tally of its own kept copies, so an antichain of equal-size
-    summands costs linear time.
+    and with a tally of its own kept copies.  Distinct summands of one size,
+    such as the expansion of (x1+x2)*(x3+x4), are returned at once: two
+    distinct sets of one size never nest, so none is deleted.
     """
     if len(rep) < 3:
         return tuple(rep)
     sizes = [len(mono) for mono in rep]
+    if sizes.count(sizes[0]) == len(rep) and len(set(rep)) == len(rep):
+        return tuple(rep)
     order = range(len(rep))
     if sizes != sorted(sizes):
         order = sorted(order, key=sizes.__getitem__)

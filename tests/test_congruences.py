@@ -17,7 +17,6 @@ from misr import (
     lplus1,
     principal_congruence,
 )
-from misr.algebras import _sides
 from misr.congruences import _closure, _seeds
 from support import (
     _compatible,
@@ -250,7 +249,7 @@ def test_principal_congruence_agrees_with_breadth_first_closure():
 
 def test_closure_stops_on_a_proven_pair_or_a_completed_span():
     # on t3 (0, a, 1) Cg(a,1) is {0},{a,1}; the SI test relies on both stops
-    sides = _sides(T3)
+    sides = T3._sides
     assert _closure(sides, [(1, 2)]) == (0, 1, 1)
     assert _closure(sides, [(1, 2)], span=[(0, 1)]) == (0, 1, 1)
     assert _closure(sides, [(1, 2)], span=[(0, 1)], proven={(1, 2)}) is None
@@ -261,7 +260,7 @@ def test_closure_stops_on_a_proven_pair_or_a_completed_span():
     # round: the seed round leaves x and y apart and merges no pair of apart
     alg, a, b, x, y, seeded = translate_round_case()
     assert alg.mul != tuple(zip(*alg.mul)) and alg.add != tuple(zip(*alg.add))
-    sides = _sides(alg)
+    sides = alg._sides
     cg = _closure(sides, _seeds(alg, a, b))
     outside = next((p, q) for p, q in combinations(range(alg.size), 2) if cg[p] != cg[q])
     assert cg[x] == cg[y]

@@ -182,8 +182,24 @@ def summand_tuples(draw):
     return tuple(draw(st.permutations(items)))
 
 
-@given(summand_tuples())
+@st.composite
+def one_size_tuples(draw):
+    # monomials of one size, in any order: distinct ones, which reduce_rep
+    # returns at once, or with up to 3 copies of each, which it must reduce
+    size = draw(st.integers(0, 3))
+    subsets = [frozenset(c) for c in itertools.combinations(range(1, 6), size)]
+    monos = draw(st.lists(st.sampled_from(subsets), unique=True, min_size=1, max_size=8))
+    most = draw(st.sampled_from((1, 3)))
+    items = [mono for mono in monos for _ in range(draw(st.integers(1, most)))]
+    return tuple(draw(st.permutations(items)))
+
+
+@given(summand_tuples() | one_size_tuples())
 @example((m(1), E, m(1), m(1)))
+@example((m(2, 3), m(1, 2), m(3, 4), m(1, 3)))  # one size, distinct, out of order
+@example((m(1, 2), m(2, 3), m(1, 2)))  # one size, one pair of copies
+@example((m(2), m(1), m(2), m(3), m(2)))  # three copies: the pass cuts them to two
+@example((E, E, E))
 def test_reduce_agrees_with_deletion_fixpoint(rep):
     assert reduce_rep(rep) == fixpoint_reduce(rep)
 
