@@ -31,7 +31,7 @@ from .algebras import (
 from .congruences import is_subdirectly_irreducible
 from .enumeration import DEFAULT_ARITY_CAP, _listing
 from .normal import normalize, rep_text
-from .terms import Term, TermSyntaxError, Var, parse, term_size, variables
+from .terms import Term, TermSyntaxError, Var, parse, term_size
 
 DEFAULT_MAX_NODES = 64
 # the most assignments `check` sweeps, such as 3**16 on t3 or 65**4 on the
@@ -115,7 +115,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     alg = _resolve_algebra(args.algebra)
     ident = parse_identity(args.identity)
-    n, k = len(variables(ident.lhs) | variables(ident.rhs)), alg.size
+    n, k = len(ident.variable_list()), alg.size
     if k**n > MAX_CHECK_ASSIGNMENTS:
         raise ValueError(
             f"{n} variables over {k} elements make {k}**{n} (about 10**{n * math.log10(k):.1f}) "

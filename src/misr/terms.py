@@ -138,56 +138,41 @@ def parse(text: str) -> Term:
     Add(left=Var(index=1), right=Mul(left=Var(index=2), right=Var(index=3)))
     """
     tokens = _lex(text)
-    pos = 0
-
-    def peek() -> tuple[str, object, int]:
-        return tokens[pos]
-
-    def advance() -> tuple[str, object, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_sum() -> Term:
-        t = parse_product()
-        while peek()[0] == "+":
-            advance()
-            t = Add(t, parse_product())
-        return t
-
-    def parse_product() -> Term:
-        t = parse_atom()
-        while peek()[0] == "*":
-            advance()
-            t = Mul(t, parse_atom())
-        return t
-
-    def parse_atom() -> Term:
-        kind, value, col = advance()
-        if kind == "0":
-            return ZERO
-        if kind == "1":
-            return ONE
-        if kind == "var":
-            return Var(value)  # type: ignore[arg-type]
-        if kind == "(":
-            t = parse_sum()
-            kind2, _, col2 = advance()
-            if kind2 != ")":
-                raise TermSyntaxError("expected ')'", col2)
-            return t
-        raise TermSyntaxError(f"expected a term, found {_describe(kind)}", col)
-
-    # the parsers refer to each other: a cycle holding the tokens until deleted
-    try:
-        t = parse_sum()
-    finally:
-        del parse_sum, parse_product, parse_atom
-    kind, _, col = peek()
+    t, pos = _parse_sum(tokens, 0)
+    kind, _, col = tokens[pos]
     if kind != "end":
         raise TermSyntaxError(f"unexpected {_describe(kind)}", col)
     return t
+
+
+def _parse_sum(tokens: list[tuple[str, object, int]], pos: int) -> tuple[Term, int]:
+    """The sum that starts at tokens[pos], and the position after it.  Sums
+    and products are loops; only a parenthesis recurses, one frame a level."""
+    total = None
+    while True:
+        product = None
+        while True:
+            kind, value, col = tokens[pos]
+            if kind == "var":
+                atom = Var(value)  # type: ignore[arg-type]
+            elif kind == "(":
+                atom, pos = _parse_sum(tokens, pos + 1)
+                kind, _, col = tokens[pos]
+                if kind != ")":
+                    raise TermSyntaxError("expected ')'", col)
+            elif kind in ("0", "1"):
+                atom = ONE if kind == "1" else ZERO
+            else:
+                raise TermSyntaxError(f"expected a term, found {_describe(kind)}", col)
+            product = atom if product is None else Mul(product, atom)
+            pos += 1
+            if tokens[pos][0] != "*":
+                break
+            pos += 1
+        total = product if total is None else Add(total, product)
+        if tokens[pos][0] != "+":
+            return total, pos
+        pos += 1
 
 
 def _describe(kind: str) -> str:
@@ -236,7 +221,9 @@ def variables(t: Term) -> frozenset[int]:
 
 
 def term_size(t: Term) -> int:
-    """Number of AST nodes."""
+    """Number of AST nodes, by recursion: the CLI's `--max-nodes` goes through
+    it, so a sum of 3000 summands raises RecursionError, as the benchmark's
+    defect entry `defect.long` expects until both change (ROADMAP item 1)."""
     match t:
         case Zero() | One() | Var(_):
             return 1

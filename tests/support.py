@@ -1,7 +1,8 @@
 """Shared test helpers: independent mini-evaluator, term generators, a
-recursive term printer, the unreduced expansion of a term, random tables,
-the exhaustive congruence oracle, the clone closure in rounds, the listing
-of reduced forms by placement and a check for cyclic garbage.
+recursive term printer and parser, the unreduced expansion of a term,
+random tables, the exhaustive congruence oracle, the clone closure in
+rounds, the listing of reduced forms by placement and a check for cyclic
+garbage.
 
 Everything here is deliberately self-contained so that oracle-based tests do
 not exercise the code paths they are checking: the evaluator works over
@@ -18,7 +19,8 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from misr import Add, FiniteSemiring, Mul, One, ONE, Term, Var, Zero, ZERO, monomials_over, rep_text
+from misr import Add, FiniteSemiring, Mul, One, ONE, Term, TermSyntaxError, Var, Zero, ZERO, monomials_over, rep_text
+from misr.terms import _describe, _lex
 
 # The three-element chain model used as the equality oracle, transcribed
 # independently of the package's builtin tables.
@@ -133,6 +135,65 @@ def expand(t: Term) -> list[frozenset[int]]:
             left, right = expand(l), expand(r)
             return [a | b for a in left for b in right]
     raise TypeError(f"not a term: {t!r}")
+
+
+# --- the recursive parser ----------------------------------------------------
+
+def reference_parse(text: str) -> Term:
+    """The recursive-descent parser that misr.parse replaced, kept as its
+    oracle: three mutually recursive closures, three frames per level of
+    parentheses.  It shares misr.terms' lexer and error wording."""
+    tokens = _lex(text)
+    pos = 0
+
+    def peek() -> tuple[str, object, int]:
+        return tokens[pos]
+
+    def advance() -> tuple[str, object, int]:
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_sum() -> Term:
+        t = parse_product()
+        while peek()[0] == "+":
+            advance()
+            t = Add(t, parse_product())
+        return t
+
+    def parse_product() -> Term:
+        t = parse_atom()
+        while peek()[0] == "*":
+            advance()
+            t = Mul(t, parse_atom())
+        return t
+
+    def parse_atom() -> Term:
+        kind, value, col = advance()
+        if kind == "0":
+            return ZERO
+        if kind == "1":
+            return ONE
+        if kind == "var":
+            return Var(value)  # type: ignore[arg-type]
+        if kind == "(":
+            t = parse_sum()
+            kind2, _, col2 = advance()
+            if kind2 != ")":
+                raise TermSyntaxError("expected ')'", col2)
+            return t
+        raise TermSyntaxError(f"expected a term, found {_describe(kind)}", col)
+
+    # the parsers refer to each other: a cycle holding the tokens until deleted
+    try:
+        t = parse_sum()
+    finally:
+        del parse_sum, parse_product, parse_atom
+    kind, _, col = peek()
+    if kind != "end":
+        raise TermSyntaxError(f"unexpected {_describe(kind)}", col)
+    return t
 
 
 # --- random tables ------------------------------------------------------------

@@ -75,6 +75,17 @@ def test_normalize_agrees_with_t3_tables(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "inner, expected", [("x", "x1"), ("x*(y+1)", "x1+x1*x2")], ids=["x", "x*(y+1)"]
+)
+def test_normalize_parentheses_600_deep(capsys, inner, expected):
+    # the parser takes one frame a level, so 600 levels fit under the
+    # default limit; three frames a level would not
+    assert sys.getrecursionlimit() <= 1000
+    code, out, err = run_cli(capsys, "normalize", "(" * 600 + inner + ")" * 600)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
 # --- eq ------------------------------------------------------------------------
 
 def test_eq_equal(capsys):

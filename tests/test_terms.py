@@ -27,7 +27,13 @@ from misr import (
     term_size,
     variables,
 )
-from support import no_cyclic_garbage, random_term, reference_to_text, terms_strategy
+from support import (
+    no_cyclic_garbage,
+    random_term,
+    reference_parse,
+    reference_to_text,
+    terms_strategy,
+)
 
 x1, x2, x3 = Var(1), Var(2), Var(3)
 
@@ -162,6 +168,61 @@ def test_operator_sugar_builds_nodes():
 @given(terms_strategy(max_index=12))
 def test_round_trip(t):
     assert parse(reference_to_text(t)) == t
+
+
+# --- parse against the recursive parser it replaced ----------------------------
+
+# the grammar's tokens, blanks, an index 0 and a character no token starts with
+PARSE_PIECES = ["x", "y", "z", "x2", "x0", "0", "1", "+", "*", "(", ")", " ", "\t", "\n", "#"]
+
+
+def random_parse_text(rng: Random) -> str:
+    """0 to 12 random pieces, or a third of the time a printed random term
+    with one piece put in at random; a fifth of the time inside up to 300
+    levels of parentheses (each level may carry an operand) that close one
+    too few, one too many or exactly."""
+    if rng.random() < 1 / 3:
+        text = reference_to_text(random_term(rng, rng.randint(1, 15), 3))
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + rng.choice(PARSE_PIECES + [""] * 8) + text[cut:]
+    else:
+        text = "".join(rng.choice(PARSE_PIECES) for _ in range(rng.randint(0, 12)))
+    if rng.random() < 0.2:
+        depth = rng.randint(1, 300)
+        opens = "".join(rng.choice(["(", "(", "x*(", "1+("]) for _ in range(depth))
+        closes = [rng.choice([")", ")", ")*y", ")+0"]) for _ in range(depth + 1)]
+        text = opens + text + "".join(closes[: depth + rng.choice([-1, 0, 0, 1])])
+    return text
+
+
+def parse_outcome(parser, text: str):
+    try:
+        return repr(parser(text))
+    except TermSyntaxError as e:
+        return e.message, e.position
+
+
+def test_parse_agrees_with_recursive_reference():
+    rng = Random(20261020)
+    outcomes = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2000))  # the reference takes three frames a level
+    try:
+        for _ in range(20_000):
+            text = random_parse_text(rng)
+            outcome = parse_outcome(parse, text)
+            assert outcome == parse_outcome(reference_parse, text), text
+            outcomes.append(outcome)
+    finally:
+        sys.setrecursionlimit(limit)
+    terms = sum(isinstance(o, str) for o in outcomes)
+    assert 1000 < terms < 19_000  # both the terms and the errors were compared
+    assert len({o for o in outcomes if not isinstance(o, str)}) > 100
+
+
+def test_parse_nests_600_deep_under_the_default_limit():
+    assert sys.getrecursionlimit() <= 1000
+    assert parse("(" * 600 + "x" + ")" * 600) == Var(1)
 
 
 # --- the walks against recursive references ------------------------------------
