@@ -12,19 +12,21 @@ seeds generate Cg(a,b) and the first round merges nothing.  A partition is a
 congruence when closing its spanning pairs merges nothing more.  The
 monolith is the meet M of all Cg(a,b) with a != b, when M is non-discrete.
 
-Few closures run to the end: each stops once it merges every spanning pair
-of the running meet M, or a pair already shown to generate a congruence
-containing M, as Cg(a,b) then contains M.  Every pair is such a proof once
-its closure stops or ends, and stays one while M shrinks.  (R. Freese,
-"Computing congruences efficiently", Algebra Universalis 59 (2008), labels
-partitions so too, closes with union-find and reuses work across pairs.)
+Few closures run to the end.  The SI test takes the pairs a < b in order,
+meets into M each closure that runs to the end, and stops Cg(a,b) once it
+joins roots lo < hi with (lo, hi) before (a, b).  Sound: each earlier (c, d)
+has Cg(c,d) containing M, as its closure was met into M or stopped holding
+M, and M only shrinks; (lo, hi) lies in Cg(a,b), so Cg(a,b) contains
+Cg(lo,hi) and so M.  (R. Freese, "Computing congruences efficiently",
+Algebra Universalis 59 (2008), labels partitions so too, closes with
+union-find and reuses work across pairs.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Container, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .algebras import FiniteSemiring
 
@@ -100,12 +102,11 @@ def _least(labels: Iterable[Hashable]) -> tuple[int, ...]:
 def _closure(
     sides: tuple[tuple[tuple[int, ...], ...], ...],
     pairs: Iterable[tuple[int, int]],
-    span: Sequence[tuple[int, int]] = (),
-    proven: Container[tuple[int, int]] = (),
+    before: tuple[int, int] = (0, 0),
 ) -> tuple[int, ...] | None:
     """The congruence generated by the seed pairs: each element's least block
-    element (a merge hangs the larger root under the smaller), or None right
-    after a merge that hits a pair in proven or completes span, if given.
+    element (a merge hangs root hi under root lo < hi), or None right after a
+    merge whose (lo, hi) < before; no pair lo < hi precedes the default.
     After the seeds, each round merges the rows x and least[x] of each table
     in sides (a commutative one once) cell by cell where they differ once
     mapped to blocks; a round that finds none ends, its blocks compatible.
@@ -118,18 +119,14 @@ def _closure(
             x = parent[x]
         return x
 
-    merged = 0  # span[:merged] are merged
     while True:
         for x, y in pairs:
             rx, ry = find(x), find(y)
             if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-                if span and (x, y) in proven:
+                lo, hi = (rx, ry) if rx < ry else (ry, rx)
+                parent[hi] = lo
+                if (lo, hi) < before:
                     return None
-                while span and find(span[merged][0]) == find(span[merged][1]):
-                    merged += 1
-                    if merged == len(span):
-                        return None
         least = tuple(map(find, range(len(parent))))
         pairs = [pair for table in sides for x, m in enumerate(least)
                  if m != x and [least[v] for v in table[x]] != [least[v] for v in table[m]]
@@ -182,14 +179,10 @@ def is_subdirectly_irreducible(alg: FiniteSemiring) -> tuple[bool, Partition | N
     if n < 2:
         raise ValueError("subdirect irreducibility needs at least two elements")
     least = (0,) * n  # the least element of x's block of M
-    span = [(0, x) for x in range(1, n)]
-    proven: set[tuple[int, int]] = set()  # pairs whose Cg contains M, both orders
     for a, b in combinations(range(n), 2):
-        roots = _closure(alg._sides, _seeds(alg, a, b), span, proven)
-        proven.update(((a, b), (b, a)))
+        roots = _closure(alg._sides, _seeds(alg, a, b), (a, b))
         if roots is not None:
             least = _least(zip(least, roots))
-            span = [(m, x) for x, m in enumerate(least) if m != x]
-            if not span:
+            if len(set(least)) == n:
                 return False, None
     return True, Partition(least)

@@ -8,6 +8,7 @@ import pytest
 
 from misr import (
     BUILTIN_NAMES,
+    FiniteSemiring,
     Partition,
     boolean_lattice,
     builtin,
@@ -156,6 +157,14 @@ def seed_round(alg, a, b):
     return [find(x) for x in range(n)]
 
 
+def chain(n):
+    """The n-element chain as a lattice: + is max and * is min."""
+    def table(op):
+        return tuple(tuple(op(x, y) for y in range(n)) for x in range(n))
+
+    return FiniteSemiring(f"c{n}", tuple(f"c{x}" for x in range(n)), table(max), table(min), 0, n - 1)
+
+
 def translate_round_case():
     """A non-commutative random table, a pair (a, b) with Cg(a,b) not full,
     a pair (x, y) of Cg(a,b) that the seed round leaves apart, and the seed
@@ -247,27 +256,65 @@ def test_principal_congruence_agrees_with_breadth_first_closure():
     assert short >= 50, short
 
 
-def test_closure_stops_on_a_proven_pair_or_a_completed_span():
-    # on t3 (0, a, 1) Cg(a,1) is {0},{a,1}; the SI test relies on both stops
+def test_closure_stops_when_it_joins_an_earlier_pair():
+    # on t3 (0, a, 1) Cg(a,1) is {0},{a,1}; a merge of roots lo < hi stops
+    # the closure when (lo, hi) < before, the pair that the SI test is at
     sides = T3._sides
     assert _closure(sides, [(1, 2)]) == (0, 1, 1)
-    assert _closure(sides, [(1, 2)], span=[(0, 1)]) == (0, 1, 1)
-    assert _closure(sides, [(1, 2)], span=[(0, 1)], proven={(1, 2)}) is None
-    assert _closure(sides, [(1, 2)], span=[(1, 2), (0, 1)]) == (0, 1, 1)
-    assert _closure(sides, [(1, 2)], span=[(1, 2)]) is None
     assert _closure(sides, [(0, 1)]) == (0, 0, 0)
-    # stops that no seed-round merge can make, so they come in a translate
-    # round: the seed round leaves x and y apart and merges no pair of apart
+    assert _closure(sides, [(0, 1)], (0, 2)) is None
+    assert _closure(sides, [(1, 2)], (1, 2)) == (0, 1, 1)
+    # a stop that only a translate round makes: a seed-round merge joins two
+    # elements of one seed block, so none comes before first, the least two
+    # elements of a seed block; cg[x] < first[0] is alone after the seeds,
+    # and the translate round that joins it to its cg block merges
+    # (cg[x], r) < first
     alg, a, b, x, y, seeded = translate_round_case()
     assert alg.mul != tuple(zip(*alg.mul)) and alg.add != tuple(zip(*alg.add))
     sides = alg._sides
     cg = _closure(sides, _seeds(alg, a, b))
-    outside = next((p, q) for p, q in combinations(range(alg.size), 2) if cg[p] != cg[q])
-    assert cg[x] == cg[y]
-    assert _closure(sides, _seeds(alg, a, b), span=[(x, y), outside]) == cg
-    assert _closure(sides, _seeds(alg, a, b), span=[(x, y)]) is None
-    apart = {(u, v) for u in range(alg.size) for v in range(alg.size) if seeded[u] != seeded[v]}
-    assert _closure(sides, _seeds(alg, a, b), span=[outside], proven=apart) is None
+    first = min(block[:2] for block in by_roots(seeded).blocks if len(block) > 1)
+    assert cg[x] == cg[y] and cg[x] < first[0]
+    assert _closure(sides, _seeds(alg, a, b), first) is None
+    # every merge joins two elements of a block of cg, so none comes before
+    # the least two elements of a block, and the closure runs to the end
+    least = min(block[:2] for block in Partition(cg).blocks if len(block) > 1)
+    assert _closure(sides, _seeds(alg, a, b), least) == cg
+
+
+def test_si_loop_stops_only_closures_that_contain_the_meet():
+    # the SI loop by hand: for each pair in order, a stopped closure must
+    # have a full Cg(a,b) (the breadth-first oracle) containing the running
+    # meet M, and one that runs to the end must be the full Cg(a,b)
+    rng = Random(20261021)
+    algebras = [lplus1(boolean_lattice(k)) for k in range(1, 5)]
+    algebras += [direct_product(builtin(x), builtin(y)) for x in ("two", "t3", "s3") for y in ("two", "t3")]
+    algebras += [random_tables(rng, rng.randint(2, 7), i % 2 == 0) for i in range(200)]
+    algebras += [
+        direct_product(
+            random_tables(rng, rng.randint(2, 3), i % 2 == 0),
+            random_tables(rng, rng.randint(2, 3), i % 3 == 0),
+        )
+        for i in range(60)
+    ]
+    stopped = Counter()
+    for alg in algebras:
+        n = alg.size
+        meet = Partition.full(n)
+        for a, b in combinations(range(n), 2):
+            full = by_roots(_principal_roots(alg.add, alg.mul, n, a, b))
+            roots = _closure(alg._sides, _seeds(alg, a, b), (a, b))
+            stopped[roots is None] += 1
+            if roots is None:
+                assert meet.meet(full) == meet, (alg, a, b)
+            else:
+                assert Partition(roots) == full, (alg, a, b)
+                meet = meet.meet(full)
+                if meet.is_discrete:
+                    break
+        got = is_subdirectly_irreducible(alg)
+        assert got == ((False, None) if meet.is_discrete else (True, meet)), alg
+    assert stopped[True] >= 1000 and stopped[False] >= 300, stopped
 
 
 # --- subdirect irreducibility -------------------------------------------------
@@ -324,13 +371,20 @@ def test_si_agrees_with_meet_of_all_principal_congruences():
         )
         for i in range(100)
     ]
+    # members of the variety that are not SI, up to 18 elements, where the
+    # SI test stops the most closures; lplus1 of a chain of 3 or more
+    # elements is not SI
+    members = [direct_product(T3, T3)]
+    members += [direct_product(lplus1(boolean_lattice(k)), TWO) for k in (2, 3)]
+    members += [lplus1(chain(n)) for n in range(3, 7)]
     verdicts = Counter()
-    for alg in algebras:
+    for alg in algebras + members:
         irreducible, monolith = is_subdirectly_irreducible(alg)
         got = (irreducible, None if monolith is None else monolith.blocks)
         assert got == si_by_meet(alg), alg
         verdicts[irreducible] += 1
     assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+    assert not any(is_subdirectly_irreducible(alg)[0] for alg in members)
 
 
 def test_two_squared_is_not_subdirectly_irreducible():
@@ -361,8 +415,6 @@ def test_si_matches_exhaustive_oracle_for_all_small_algebras():
 
 
 def test_trivial_algebra_rejected():
-    from misr import FiniteSemiring
-
     trivial = FiniteSemiring("triv", ("0",), ((0,),), ((0,),), 0, 0)
     with pytest.raises(ValueError):
         is_subdirectly_irreducible(trivial)
