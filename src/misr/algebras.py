@@ -15,16 +15,15 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cached_property, partial, reduce
-from typing import Iterable, Mapping
 
 from .normal import monomials_over
-from .terms import ONE, ZERO, One, Term, TermSyntaxError, Var, parse, postfix, run, variables
+from .terms import ONE, ZERO, One, Record, Term, TermSyntaxError, Var, parse, postfix, run, variables
 
 
-@dataclass(frozen=True)
-class FiniteSemiring:
+class FiniteSemiring(Record):
+    __match_args__ = ("name", "elements", "add", "mul", "zero", "one")
     name: str
     elements: tuple[str, ...]
     add: tuple[tuple[int, ...], ...]
@@ -32,7 +31,8 @@ class FiniteSemiring:
     zero: int
     one: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, name, elements, add, mul, zero, one) -> None:
+        super().__init__(name, elements, add, mul, zero, one)
         n = len(self.elements)
         if n == 0:
             raise ValueError("carrier must be non-empty")
@@ -100,11 +100,14 @@ def eval_term(alg: FiniteSemiring, t: Term, env: Mapping[int, int]) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
+    __match_args__ = ("lhs", "rhs", "name")
     lhs: Term
     rhs: Term
-    name: str = ""
+    name: str
+
+    def __init__(self, lhs: Term, rhs: Term, name: str = "") -> None:
+        super().__init__(lhs, rhs, name)
 
     def variable_list(self) -> list[int]:
         return sorted(variables(self.lhs) | variables(self.rhs))
@@ -253,15 +256,15 @@ _AXIOMS: tuple[Identity, ...] = _SEMIRING_AXIOMS + (
 )
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
+    __match_args__ = ("name", "ok", "witness")
     name: str
     ok: bool
     witness: tuple[tuple[int, int], ...] | None  # sorted (variable, element) pairs
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
+    __match_args__ = ("algebra", "checks")
     algebra: str
     checks: tuple[AxiomCheck, ...]
 

@@ -24,15 +24,14 @@ union-find and reuses work across pairs.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from itertools import combinations
-from typing import Hashable, Iterable, Iterator, Sequence
 
 from .algebras import FiniteSemiring
+from .terms import Record
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A partition of {0..size-1}: least[x] is the least element of x's block.
 
     >>> p = Partition.from_blocks(4, [[3, 1], [0], [2]])
@@ -40,11 +39,13 @@ class Partition:
     ((0, 1, 2, 1), ((0,), (1, 3), (2,)))
     """
 
+    __match_args__ = ("least",)
     least: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not all(0 <= m <= x and self.least[m] == m for x, m in enumerate(self.least)):
+    def __init__(self, least: tuple[int, ...]) -> None:
+        if not all(0 <= m <= x and least[m] == m for x, m in enumerate(least)):
             raise ValueError("least[x] must be the least element of x's block")
+        object.__setattr__(self, "least", least)
 
     @staticmethod
     def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "Partition":

@@ -19,7 +19,7 @@ genuine cross-check.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .algebras import FiniteSemiring
 from .normal import SumOfProducts, monomials_over, rep_text

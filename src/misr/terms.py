@@ -8,13 +8,50 @@ and juxtaposition is not a product: ``x*y`` is a term, ``xy`` is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+
+class Record:
+    """Immutable fields named by __match_args__, as in a frozen dataclass: eq within one class
+    and hash read them in one C call (the class if none); repr, pickle and copy use them too."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__match_args__) if cls.__match_args__ else type
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if kwargs or len(args) != len(self.__match_args__):  # bind names as a call would
+            values = dict(zip(self.__match_args__, args), **kwargs)
+            if len(args) + len(kwargs) != len(values) or values.keys() != set(self.__match_args__):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {self.__match_args__}")
+            args = tuple(map(values.__getitem__, self.__match_args__))
+        for name, value in zip(self.__match_args__, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key(self) == other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
 class Term:
-    """Base class for term nodes.  Instances are immutable and hashable; sums
-    and products compare and hash by their postfix lists, and print as the
-    dataclass repr would, at any depth."""
+    """Base class for term nodes, immutable and hashable.  Sums and products compare and hash
+    by their postfix lists and print as ``Add(left=Var(index=1), right=One())`` at any depth."""
 
     __slots__ = ()
 
@@ -48,35 +85,34 @@ class Term:
         return Mul(self, other)
 
 
-@dataclass(frozen=True, slots=True)
-class Zero(Term):
-    pass
+class Zero(Record, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class One(Term):
-    pass
+class One(Record, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Var(Term):
-    index: int
+class Var(Record, Term):
+    __slots__ = __match_args__ = ("index",)
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
-
-
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Add(Term):
-    left: Term
-    right: Term
+    def __init__(self, index: int) -> None:
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Mul(Term):
-    left: Term
-    right: Term
+class Add(Term, Record):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class Mul(Term, Record):
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = Add.__init__
 
 
 ZERO = Zero()

@@ -196,6 +196,15 @@ def reference_parse(text: str) -> Term:
     return t
 
 
+# --- algebras ----------------------------------------------------------------
+
+def rebuild(alg: FiniteSemiring, **changes) -> FiniteSemiring:
+    """alg with the given fields changed, built through FiniteSemiring(...)
+    so that its checks run; an unknown field name is a TypeError."""
+    fields = {name: getattr(alg, name) for name in ("name", "elements", "add", "mul", "zero", "one")}
+    return FiniteSemiring(**{**fields, **changes})
+
+
 # --- random tables ------------------------------------------------------------
 
 def random_tables(rng: Random, size: int, commutative: bool) -> FiniteSemiring:

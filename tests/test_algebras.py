@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 from pathlib import Path
@@ -34,7 +33,7 @@ from misr import (
     parse_algebra,
     parse_identity,
 )
-from support import T3_ADD, T3_LABELS, T3_MUL, eval_labels, random_tables, random_term
+from support import T3_ADD, T3_LABELS, T3_MUL, eval_labels, random_tables, random_term, rebuild
 
 T3 = builtin("t3")
 S3 = builtin("s3")
@@ -678,12 +677,12 @@ def mutants_of(alg):
         tables = [list(map(list, alg.add)), list(map(list, alg.mul))]
         tables[which][x][y] = (tables[which][x][y] + 1) % n
         add, mul = (tuple(map(tuple, t)) for t in tables)
-        yield dataclasses.replace(alg, add=add, mul=mul)
+        yield rebuild(alg, add=add, mul=mul)
     for c in range(n):
         if c != alg.zero:
-            yield dataclasses.replace(alg, zero=c)
+            yield rebuild(alg, zero=c)
         if c != alg.one:
-            yield dataclasses.replace(alg, one=c)
+            yield rebuild(alg, one=c)
 
 
 def test_lattice_scan_agrees_with_the_law_checker():

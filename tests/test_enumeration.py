@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -32,6 +31,7 @@ from support import (
     clone_count_by_rounds,
     enumerate_by_placement,
     random_tables,
+    rebuild,
 )
 
 T3 = builtin("t3")
@@ -195,7 +195,7 @@ def test_clone_count_checks_every_law_of_sums_of_products(name, table, cell, bro
     rows[x][y] = v
     # the original's verdict, memoized first, must not carry over to the copy
     assert clone_count(alg, 2) == clone_count_by_rounds(alg, 2)
-    alg = replace(alg, **{table: tuple(map(tuple, rows))})
+    alg = rebuild(alg, **{table: tuple(map(tuple, rows))})
     laws = ("add-associative", "mul-associative", "distributive-left", "distributive-right")
     assert [law for law in laws if not check_axioms(alg).ok(law)] == [broken]
     assert clone_count(alg, 2) == clone_count_by_rounds(alg, 2)
@@ -211,7 +211,7 @@ def test_sums_of_products_verdict_is_the_law_check():
         assert alg._sums_of_products is expected, alg
         assert alg.__dict__["_sums_of_products"] is expected, alg  # memoized
         # the memo stays out of the fields, equality, hashing and repr
-        copy = replace(alg)
+        copy = rebuild(alg)
         assert copy == alg and hash(copy) == hash(alg) and repr(copy) == repr(alg)
         assert "_sums_of_products" not in copy.__dict__
 
