@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping
 from functools import cached_property, partial, reduce
 
 from .normal import monomials_over
-from .terms import ONE, ZERO, One, Record, Term, TermSyntaxError, Var, parse, postfix, run, variables
+from .terms import One, Record, Term, TermSyntaxError, Var, parse, postfix, run, variables
 
 
 class FiniteSemiring(Record):
@@ -134,31 +134,30 @@ _FIRST_BLOCK_POINTS = 4096
 _BLOCK_POINTS = 65536
 
 
-def _hoist(code: list, leaves: list, h: int, rest: list, add, mul) -> tuple[list, list, list]:
-    """Evaluate once each maximal subterm of code free of the first h leaves,
-    given rest, the others' values.  Returns the keys, their values and the
-    code left, in which a rising int key stands for each such subterm."""
-    heads, values, residual = set(leaves[:h]), dict(zip(leaves[h:], rest)), []
+def _fold(code: list, h: int, values: list, add, mul) -> list:
+    """Evaluate each maximal subterm of code whose slots are all h or more once, as a new
+    slot of values freed when consumed; return the code left, where that slot stands for it."""
+    new, residual = len(values), []  # head slots and operators (False, True) lie below new
     for op in code:
-        if isinstance(op, bool) and not type(residual[-2]) is int is type(residual[-1]) or op in heads:
+        if type(op) is bool and residual[-2] >= new <= residual[-1]:  # both operands folded
+            del residual[-1]
+            right = values.pop()
+            values[-1] = (mul if op else add)(values[-1], right)
+        elif type(op) is bool or op < h:
             residual.append(op)
-            continue
-        if isinstance(op, bool):  # both operands are free: pop the two highest ints
-            right, left = values.pop(residual.pop()), values.pop(residual.pop())
-            value = (mul if op else add)(left, right)
         else:
-            value = values[op]
-        residual.append(len(values))
-        values[len(values)] = value
-    return leaves[:h] + list(values), list(values.values()), residual
+            residual.append(len(values))
+            values.append(values[op])
+    return residual
 
 
 def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | None]:
-    """Check an identity over all assignments.
+    """Check an identity over all assignments: (True, None), or (False, the
+    lexicographically first counterexample in element-index order, as a dict
+    from variable index to element index with the variables ascending).
 
-    Returns (True, None) or (False, witness) where the witness is the
-    lexicographically first counterexample in element-index order, variables
-    ascending.
+    >>> holds(builtin("t3"), parse_identity("x+x = x"))
+    (False, {1: 2})
 
     The assignments are visited in itertools.product order, a block at a
     time: the leading (head) variables are fixed within a block and the
@@ -166,12 +165,14 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     a list of bitmasks, one per element, in which bit p is set when the side
     equals that element at the block's p-th point.  A first block of up to
     _FIRST_BLOCK_POINTS goes alone when the later ones, of up to _BLOCK_POINTS,
-    are larger; subterms free of the head variables are computed once.
+    are larger; each pass computes the subterms free of the head variables once.
     """
     code = postfix(ident.lhs, ident.rhs)
-    named = {op.index: op for op in code if isinstance(op, Var)}  # masks hit these by identity
-    vs = sorted(named)
+    vs = sorted({op.index for op in code if isinstance(op, Var)})
     k, n = alg.size, len(vs)
+    # x_vs[i] becomes slot i, 0 slot n and 1 slot n+1; + and * stay False and True
+    code = [op if type(op) is bool else vs.index(op.index) if isinstance(op, Var)
+            else n + isinstance(op, One) for op in code]
 
     def combine(table, left: list[int], right: list[int]) -> list[int]:
         rs = [(b, mb) for b, mb in enumerate(right) if mb]
@@ -194,7 +195,6 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
         large += 1
     every = itertools.product(range(k), repeat=n - large)
     passes = [(first, [(0,) * (n - first)]), (large, every)] if first < large else [(large, every)]
-    leaves = [named[v] for v in vs] + [ZERO, ONE]
     for swept, heads in passes:
         full = (1 << k**swept) - 1
         # the masks of a value that is element v at every point of the block
@@ -202,18 +202,17 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
         # the swept variable at position t is v on runs of k**(swept-1-t)
         # points, repeated with period k times that
         runs = [k ** (swept - 1 - t) for t in range(swept)]
-        sweep, repeat = [], 1
+        values, repeat = [None] * (n - swept), 1  # by slot: the heads (set per head), swept, 0, 1
         for r in runs:  # repeat has a 1 every k*r bits: shifts build it in linear time
             ones = (repeat << r) - repeat
-            sweep.append([ones << (v * r) for v in range(k)])
+            values.append([ones << (v * r) for v in range(k)])
             for _ in range(k - 1):
                 repeat |= repeat << r
-        keys, rest, residual = leaves, sweep + [constant[alg.zero], constant[alg.one]], code
-        if swept == large < n:
-            keys, rest, residual = _hoist(code, leaves, n - swept, rest, add, mul)
+        values += constant[alg.zero], constant[alg.one]
+        residual = _fold(code, n - swept, values, add, mul)
         for head in heads:
-            masks = dict(zip(keys, [constant[v] for v in head] + rest))
-            lhs, rhs = run(residual, masks.__getitem__, add, mul)
+            values[:len(head)] = [constant[v] for v in head]
+            lhs, rhs = run(residual, values.__getitem__, add, mul)
             diff = reduce(operator.or_, map(operator.xor, lhs, rhs))
             if diff:
                 p = (diff & -diff).bit_length() - 1

@@ -369,6 +369,8 @@ PINNED_WITNESSES = [
     # no variables
     (T3, "1+1 = 1", {}),
     (TWO, "1+1 = 1", None),
+    # sparse indices, x2 on one side only: each variable's slot is its rank, not its index
+    (T3, "x9 + x2*x9 = x9", {2: 1, 9: 2}),
 ]
 
 
@@ -376,6 +378,24 @@ PINNED_WITNESSES = [
 def test_holds_pinned_witnesses(monkeypatch, alg, text, witness):
     expected = (False, witness) if witness is not None else None
     assert_holds_as_reference(monkeypatch, alg, parse_identity(text), expected)
+
+
+def test_holds_compares_no_variables(monkeypatch):
+    """holds numbers the leaves once and looks nothing up by Var, so it calls
+    no Var.__eq__ (masks keyed by Var objects called it 4 times in each check
+    of the absorption law on t3)."""
+    checks = [(T3, ABSORPTION_LAW)] + [(alg, parse_identity(text)) for alg, text, _ in PINNED_WITNESSES]
+    calls = []
+    eq = Var.__eq__
+    monkeypatch.setattr(Var, "__eq__", lambda self, other: calls.append(other) or eq(self, other))
+    assert Var(1) == Var(1) and len(calls) == 1
+    calls.clear()
+    for first, block in BLOCK_BOUNDS:
+        monkeypatch.setattr(misr.algebras, "_FIRST_BLOCK_POINTS", first)
+        monkeypatch.setattr(misr.algebras, "_BLOCK_POINTS", block)
+        for alg, ident in checks:
+            holds(alg, ident)
+    assert calls == []
 
 
 # --- axiom reports -----------------------------------------------------------
