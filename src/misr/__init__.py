@@ -27,7 +27,6 @@ from .normal import (
     decide_equal,
     find_reducible,
     flatten,
-    monomial_key,
     monomials_over,
     normalize,
     reduce_rep,

@@ -23,14 +23,9 @@ Monomial = frozenset[int]
 SumOfProducts = tuple[Monomial, ...]
 
 
-def monomial_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
-    """Sort key: cardinality first, then the sorted index tuple."""
-    return (len(m), tuple(sorted(m)))
-
-
 def monomials_over(n: int) -> tuple[Monomial, ...]:
-    """All subsets of {1..n} in monomial_key order, which is the order
-    combinations yields them in over ascending sizes."""
+    """All subsets of {1..n} in (size, sorted indices) order, which is the
+    order combinations yields them in over ascending sizes."""
     return tuple(
         frozenset(c)
         for r in range(n + 1)
@@ -39,10 +34,10 @@ def monomials_over(n: int) -> tuple[Monomial, ...]:
 
 
 def normalize(t: Term) -> SumOfProducts:
-    """The unique reduced form of t, sorted by monomial_key.  Each product is
-    reduced as soon as it is expanded from reduced operands, so no
-    multiplicity ever exceeds 2; a sum is only concatenated, and reduced as
-    an operand or root.
+    """The unique reduced form of t, sorted by (size, sorted indices).
+    Each product is reduced as soon as it is expanded from reduced
+    operands, so no multiplicity ever exceeds 2; a sum is only
+    concatenated, and reduced as an operand or root.
 
     >>> rep_text(normalize(parse("x+y+x*y*z")))
     'x1+x2'
@@ -73,7 +68,7 @@ def normalize(t: Term) -> SumOfProducts:
         else:
             stack.append([frozenset()] if isinstance(op, One) else [])
     rep = stack[0]
-    # monomial_key order, without building a key tuple per monomial
+    # (size, sorted indices) order, without building a key tuple per monomial
     rep = sorted(reduce_rep(rep) if type(rep) is list else rep, key=sorted)
     rep.sort(key=len)
     return tuple(rep)

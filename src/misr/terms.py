@@ -12,14 +12,17 @@ from operator import attrgetter
 
 
 class Record:
-    """Immutable fields named by __match_args__, as in a frozen dataclass: eq within one class
-    and hash read them in one C call (the class if none); repr, pickle and copy use them too."""
+    """Immutable fields named by __match_args__, as in a frozen dataclass.  Eq within one class
+    and hash use _key: the fields read in one C call (the class if none), unless the class
+    defines its own.  Repr, pickle and copy read the fields; repr expands every field that
+    holds a record on an explicit stack, so that no depth of nesting recurses."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._key = attrgetter(*cls.__match_args__) if cls.__match_args__ else type
+        if "_key" not in vars(cls):
+            cls._key = attrgetter(*cls.__match_args__) if cls.__match_args__ else type
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         if kwargs or len(args) != len(self.__match_args__):  # bind names as a call would
@@ -37,8 +40,19 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        out: list[str] = []
+        stack: list = [self]  # a string is written as it is; a record is expanded
+        while stack:
+            value = stack.pop()
+            if isinstance(value, str):
+                out.append(value)
+                continue
+            out.append(f"{type(value).__qualname__}(")
+            stack.append(")")
+            for i, name in reversed(list(enumerate(value.__match_args__))):
+                field = getattr(value, name)
+                stack += [field if isinstance(field, Record) else repr(field), f"{', ' * (i > 0)}{name}="]
+        return "".join(out)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -50,33 +64,9 @@ class Record:
 
 
 class Term:
-    """Base class for term nodes, immutable and hashable.  Sums and products compare and hash
-    by their postfix lists and print as ``Add(left=Var(index=1), right=One())`` at any depth."""
+    """Base class for term nodes, which are records: + and * build sums and products."""
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Term) and postfix(self) == postfix(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(postfix(self)))
-
-    def __repr__(self) -> str:
-        out: list[str] = []
-        # a string is written as it is; a 1-tuple holds a node to expand
-        stack: list = [(self,)]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            (t,) = item
-            if isinstance(t, (Add, Mul)):
-                name = type(t).__qualname__
-                stack += [")", (t.right,), ", right=", (t.left,), f"{name}(left="]
-            else:
-                out.append(repr(t))
-        return "".join(out)
 
     def __add__(self, other: "Term") -> "Term":
         return Add(self, other)
@@ -102,16 +92,18 @@ class Var(Record, Term):
         object.__setattr__(self, "index", index)
 
 
-class Add(Term, Record):
+class Add(Record, Term):
     __slots__ = __match_args__ = ("left", "right")
+    _key = staticmethod(lambda t: tuple(postfix(t)))  # the postfix list: no recursion on depth
 
     def __init__(self, left: Term, right: Term) -> None:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
 
-class Mul(Term, Record):
+class Mul(Record, Term):
     __slots__ = __match_args__ = ("left", "right")
+    _key = vars(Add)["_key"]  # the staticmethod itself: Add._key would bind as a method
     __init__ = Add.__init__
 
 

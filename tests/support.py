@@ -1,8 +1,8 @@
 """Shared test helpers: independent mini-evaluator, term generators, a
-recursive term printer and parser, the unreduced expansion of a term,
-random tables, the exhaustive congruence oracle, the clone closure in
-rounds, the listing of reduced forms by placement and a check for cyclic
-garbage.
+recursive term printer and parser, the order of a reduced form's
+summands, the unreduced expansion of a term, random tables, the
+exhaustive congruence oracle, the clone closure in rounds, the listing of
+reduced forms by placement and a check for cyclic garbage.
 
 Everything here is deliberately self-contained so that oracle-based tests do
 not exercise the code paths they are checking: the evaluator works over
@@ -116,6 +116,11 @@ def terms_strategy(max_index: int = 3, max_leaves: int = 20):
         ),
         max_leaves=max_leaves,
     )
+
+
+def monomial_key(m: frozenset[int]) -> tuple[int, list[int]]:
+    """The order of a reduced form's summands: size, then sorted indices."""
+    return len(m), sorted(m)
 
 
 def expand(t: Term) -> list[frozenset[int]]:

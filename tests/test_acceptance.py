@@ -40,7 +40,6 @@ from misr import (
     holds,
     is_subdirectly_irreducible,
     lplus1,
-    monomial_key,
     normalize,
     parse,
     parse_identity,
@@ -52,6 +51,7 @@ from support import (
     T3_MUL,
     eval_labels,
     expand,
+    monomial_key,
     random_term,
     si_by_exhaustion,
     t3_agree,

@@ -10,7 +10,7 @@ PUBLIC = {
     "parse", "term_size", "variables",
     # normal
     "Monomial", "SumOfProducts", "decide_equal", "find_reducible", "flatten",
-    "monomial_key", "monomials_over", "normalize", "reduce_rep", "rep_text",
+    "monomials_over", "normalize", "reduce_rep", "rep_text",
     # algebras
     "ABSORPTION_LAW", "AlgebraFormatError", "AxiomCheck", "AxiomReport",
     "BOOLEAN_LAW", "BUILTIN_NAMES", "FiniteSemiring", "Identity", "MUL_IDEMPOTENCE",

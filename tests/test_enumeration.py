@@ -16,7 +16,6 @@ from misr import (
     eval_term,
     find_reducible,
     lplus1,
-    monomial_key,
     monomials_over,
     normalize,
     parse,
@@ -30,6 +29,7 @@ from support import (
     T3_MUL,
     clone_count_by_rounds,
     enumerate_by_placement,
+    monomial_key,
     random_tables,
     rebuild,
 )

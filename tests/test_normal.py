@@ -18,7 +18,6 @@ from misr import (
     find_reducible,
     flatten,
     lplus1,
-    monomial_key,
     normalize,
     parse,
     reduce_rep,
@@ -30,6 +29,7 @@ from support import (
     T3_MUL,
     eval_labels,
     expand,
+    monomial_key,
     random_term,
     reference_to_text,
     t3_agree,

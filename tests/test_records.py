@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -28,6 +29,7 @@ from misr import (
     parse_identity,
     principal_congruence,
 )
+from misr.terms import Record
 
 TWO = builtin("two")
 T3 = builtin("t3")
@@ -173,3 +175,42 @@ def test_wrong_arguments_raise_type_error(make):
     with pytest.raises(TypeError):
         make()
 
+
+class Box(Record):
+    __slots__ = __match_args__ = ("inner", "label")
+
+
+def test_repr_of_records_nested_past_the_recursion_limit():
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    box = Box(None, "x")
+    for label in range(depth):
+        box = Box(box, label)
+    tails = "".join(f", label={label})" for label in range(depth))
+    assert repr(box) == "Box(inner=" * depth + "Box(inner=None, label='x')" + tails
+
+
+def test_identity_with_deep_sides():
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+
+    def sides():
+        # x1+x2+x1+x2+..., nested on the left, and the product of the same leaves, nested on the right
+        leaves = [Var(i % 2 + 1) for i in range(depth + 1)]
+        lhs = leaves[0]
+        for leaf in leaves[1:]:
+            lhs = Add(lhs, leaf)
+        rhs = leaves[-1]
+        for leaf in reversed(leaves[:-1]):
+            rhs = Mul(leaf, rhs)
+        return lhs, rhs
+
+    texts = [f"Var(index={i % 2 + 1})" for i in range(depth + 1)]
+    lhs_text = "Add(left=" * depth + texts[0] + "".join(f", right={x})" for x in texts[1:])
+    rhs_text = "".join(f"Mul(left={x}, right=" for x in texts[:-1]) + texts[-1] + ")" * depth
+    law = Identity(*sides(), "deep")
+    assert repr(law) == f"Identity(lhs={lhs_text}, rhs={rhs_text}, name='deep')"
+    twin = Identity(*sides(), "deep")
+    assert twin == law and hash(twin) == hash(law) and len({law, twin}) == 1
+    lhs, rhs = sides()
+    assert Identity(rhs, lhs, "deep") != law and Identity(lhs, rhs, "other") != law

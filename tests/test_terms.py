@@ -286,34 +286,67 @@ def test_walks_do_not_recurse_on_depth(node, side):
     assert holds(t3, Identity(t, t)) == (True, None)
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
+# One node class and one side per level, innermost first, 5000 levels in all:
+# the ids left and right are sums, and mixed alternates + and * and changes
+# side every third level.
+LEVELS = 5000
+SHAPES = {
+    "left": [(Add, "left")] * LEVELS,
+    "right": [(Add, "right")] * LEVELS,
+    "mul-left": [(Mul, "left")] * LEVELS,
+    "mul-right": [(Mul, "right")] * LEVELS,
+    "mixed": [((Add, Mul)[i % 2], ("left", "right")[i // 3 % 2]) for i in range(LEVELS)],
+}
+
+
+def shaped(levels, leaves):
+    """The term whose level i puts the term so far on its side and leaves[i + 1]
+    on the other, over leaves[0], with the repr written out from its levels."""
+    t, heads, tails = leaves[0], [], []
+    for (node, side), leaf in zip(levels, leaves[1:]):
+        name, text = node.__name__, f"Var(index={leaf.index})"
+        if side == "left":
+            t = node(t, leaf)
+            heads.append(f"{name}(left=")
+            tails.append(f", right={text})")
+        else:
+            t = node(leaf, t)
+            heads.append(f"{name}(left={text}, right=")
+            tails.append(")")
+    return t, "".join(reversed(heads)) + f"Var(index={leaves[0].index})" + "".join(tails)
+
+
+@pytest.mark.parametrize("side", SHAPES)
 def test_deep_terms_compare_and_hash_without_recursion(side):
-    depth = 5000
-    assert sys.getrecursionlimit() < depth
-    leaves = [Var(i % 3 + 1) for i in range(depth + 1)]
-    a = nested(Add, leaves, side)
-    b = nested(Add, [Var(leaf.index) for leaf in leaves], side)
+    levels = SHAPES[side]
+    assert sys.getrecursionlimit() < len(levels)
+    leaves = [Var(i % 3 + 1) for i in range(len(levels) + 1)]
+    a, _ = shaped(levels, leaves)
+    b, _ = shaped(levels, [Var(leaf.index) for leaf in leaves])
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     changed = leaves[:]
-    changed[depth // 2] = Var(4)
-    c = nested(Add, changed, side)
+    changed[len(levels) // 2] = Var(4)
+    c, _ = shaped(levels, changed)
     assert a != c and not a == c
     assert len({a, c}) == 2
+    # the same leaves with one + turned into * or back, in the middle or at the
+    # root: a sum never equals a product of the same operands
+    for level in (len(levels) // 2, len(levels) - 1):
+        swapped = levels[:]
+        node, level_side = levels[level]
+        swapped[level] = (Mul if node is Add else Add, level_side)
+        d, _ = shaped(swapped, leaves)
+        assert a != d and not a == d and len({a, d}) == 2
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("side", SHAPES)
 def test_deep_term_repr_without_recursion(side):
-    depth = 5000
-    assert sys.getrecursionlimit() < depth
-    leaves = [Var(i % 3 + 1) for i in range(depth + 1)]
-    texts = [f"Var(index={leaf.index})" for leaf in leaves]
-    if side == "left":
-        expected = "Add(left=" * depth + texts[0] + "".join(f", right={x})" for x in texts[1:])
-    else:
-        expected = "".join(f"Add(left={x}, right=" for x in texts[:-1]) + texts[-1] + ")" * depth
-    assert repr(nested(Add, leaves, side)) == expected
+    levels = SHAPES[side]
+    assert sys.getrecursionlimit() < len(levels)
+    t, text = shaped(levels, [Var(i % 3 + 1) for i in range(len(levels) + 1)])
+    assert repr(t) == text
 
 
 # The fields of each term class in the order of its constructor, written out
