@@ -6,8 +6,8 @@ Construction is lazy about axioms: any well-shaped table pair is accepted
 and check_axioms reports which laws actually hold.  A bounded distributive
 lattice is a semiring too, with + as join, * as meet, 0 as bottom and 1 as
 top: boolean_lattice builds the subset lattices so, and lplus1 adjoins a
-new unit to one.  The builtins are read from the files in data/, which
-are in the format of format_algebra and parse_algebra.
+new unit to one.  builtin reads each stock algebra from its file in data/,
+in format_algebra's format, on the first call for that name, not at import.
 """
 
 from __future__ import annotations
@@ -518,18 +518,13 @@ def load_algebra(path: str) -> FiniteSemiring:
 # --- builtins ---------------------------------------------------------------
 
 BUILTIN_NAMES: tuple[str, ...] = ("gf2", "gf3", "s3", "t3", "two")
-
-_BUILTINS: dict[str, FiniteSemiring] = {
-    name: load_algebra(os.path.join(os.path.dirname(__file__), "data", f"{name}.alg"))
-    for name in BUILTIN_NAMES
-}
+_LOADED: dict[str, FiniteSemiring] = {}
 
 
 def builtin(name: str) -> FiniteSemiring:
-    """Look up one of the stock algebras, read from data/<name>.alg."""
-    try:
-        return _BUILTINS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown builtin algebra {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
-        ) from None
+    """The stock algebra in data/<name>.alg: read on the first call for name, the same object after."""
+    if name not in BUILTIN_NAMES:
+        raise ValueError(f"unknown builtin algebra {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
+    if name not in _LOADED:
+        _LOADED[name] = load_algebra(os.path.join(os.path.dirname(__file__), "data", f"{name}.alg"))
+    return _LOADED[name]

@@ -87,6 +87,8 @@ class Var(Record, Term):
     __slots__ = __match_args__ = ("index",)
 
     def __init__(self, index: int) -> None:
+        if type(index) is not int:  # Var(True) and Var(2.0) would equal Var(1) and Var(2) but print apart
+            raise TypeError(f"variable index must be an int, got {index!r}")
         if index < 1:
             raise ValueError(f"variable index must be >= 1, got {index}")
         object.__setattr__(self, "index", index)

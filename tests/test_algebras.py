@@ -46,8 +46,12 @@ GF3 = builtin("gf3")
 
 def test_builtin_names():
     assert BUILTIN_NAMES == ("gf2", "gf3", "s3", "t3", "two")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown builtin algebra 't4'; choose from gf2, gf3, s3, t3, two$"):
         builtin("t4")
+
+
+def test_builtin_is_loaded_once_per_name():
+    assert builtin("t3") is builtin("t3") is builtin(name="t3")
 
 
 def test_t3_tables():

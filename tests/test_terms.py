@@ -158,6 +158,10 @@ def test_term_size():
 def test_var_index_must_be_positive():
     with pytest.raises(ValueError):
         Var(0)
+    # 2.0 and True would hash equal to Var(2) and Var(1) but print as x2.0 and xTrue
+    for index in (2.0, True, False, "2", None):
+        with pytest.raises(TypeError):
+            Var(index)
 
 
 def test_operator_sugar_builds_nodes():
