@@ -32,7 +32,8 @@ class FiniteSemiring(Record):
     one: int
 
     def __init__(self, name, elements, add, mul, zero, one) -> None:
-        super().__init__(name, elements, add, mul, zero, one)
+        # tuples, so that no caller's list can change a model after its checks
+        super().__init__(name, tuple(elements), tuple(map(tuple, add)), tuple(map(tuple, mul)), zero, one)
         n = len(self.elements)
         if n == 0:
             raise ValueError("carrier must be non-empty")
@@ -43,6 +44,8 @@ class FiniteSemiring(Record):
                 raise ValueError(f"name or label {word!r} is empty or has whitespace")
             if not word.isascii():  # and load_algebra reads ASCII
                 raise ValueError(f"name or label {word!r} is not ASCII")
+        if any(type(v) is not int for v in itertools.chain((self.zero, self.one), *self.add, *self.mul)):
+            raise TypeError("table entries, zero and one must be ints")  # 1.0 and True pass the range checks
         for table, what in ((self.add, "add"), (self.mul, "mul")):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"{what} table must be {n}x{n}")
@@ -339,10 +342,10 @@ def _tabulate(name, carrier, labels, add, mul, zero, one) -> FiniteSemiring:
     values = tuple(carrier)
     index = {v: i for i, v in enumerate(values)}
 
-    def table(op) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple([index[op(x, y)] for y in values]) for x in values)
+    def table(op) -> list[list[int]]:
+        return [[index[op(x, y)] for y in values] for x in values]
 
-    return FiniteSemiring(name, tuple(labels), table(add), table(mul), index[zero], index[one])
+    return FiniteSemiring(name, labels, table(add), table(mul), index[zero], index[one])
 
 
 def boolean_lattice(k: int) -> FiniteSemiring:
@@ -355,6 +358,8 @@ def boolean_lattice(k: int) -> FiniteSemiring:
     labels would be ambiguous from k = 10 on; k stops at 6, whose lplus1
     has 65 elements.
     """
+    if type(k) is not int:  # boolean_lattice(True) would be named bTrue
+        raise TypeError(f"k must be an int, got {k!r}")
     if not 1 <= k <= 6:
         raise ValueError(f"k must be between 1 and 6, got {k}")
     universe = frozenset(range(1, k + 1))
@@ -378,9 +383,11 @@ def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
     labelled 1 is relabelled a when no element has that label already.
 
     holds checks lat on Sholander's four identities (see _lattice_problem).
-    The new unit 1 is neutral for *; additively, 0+1 = 1 and every other sum
-    involving 1 collapses to the lattice top.  The result always satisfies
-    the absorption law but (since 1+1 = top != 1) never the boolean law.
+    The tables are lat's tables plus one row and one column for the new
+    unit 1, which comes last.  It is neutral for *; additively, 0+1 = 1 and
+    every other sum involving 1 collapses to the lattice top.  The result
+    always satisfies the absorption law but (since 1+1 = top != 1) never
+    the boolean law.
     """
     problem = _lattice_problem(lat)
     if problem is not None:
@@ -392,23 +399,11 @@ def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
         if elements[lat.one] != "1" or "a" in elements:
             raise ValueError("lattice already uses the label '1' reserved for the new unit")
         elements = elements[: lat.one] + ("a",) + elements[lat.one + 1 :]
-    unit = lat.size
-    top = lat.one
-    bottom = lat.zero
-
-    def add(x: int, y: int) -> int:
-        if x != unit and y != unit:
-            return lat.add[x][y]
-        if (x, y) in ((bottom, unit), (unit, bottom)):
-            return unit
-        return top
-
-    def mul(x: int, y: int) -> int:
-        if x != unit and y != unit:
-            return lat.mul[x][y]
-        return y if x == unit else x
-
-    return _tabulate(f"{lat.name}+1", range(unit + 1), elements + ("1",), add, mul, bottom, unit)
+    unit, top, bottom = lat.size, lat.one, lat.zero
+    edge = tuple(unit if y == bottom else top for y in range(unit + 1))
+    add = tuple(row + (edge[x],) for x, row in enumerate(lat.add)) + (edge,)
+    mul = tuple(row + (x,) for x, row in enumerate(lat.mul)) + (tuple(range(unit + 1)),)
+    return FiniteSemiring(f"{lat.name}+1", elements + ("1",), add, mul, bottom, unit)
 
 
 def direct_product(a: FiniteSemiring, b: FiniteSemiring) -> FiniteSemiring:
@@ -486,7 +481,7 @@ def parse_algebra(text: str) -> FiniteSemiring:
     zero = constant(3, "zero")
     one = constant(4, "one")
 
-    def table(header_line: int, key: str) -> tuple[tuple[int, ...], ...]:
+    def table(header_line: int, key: str) -> list[list[int]]:
         if get(header_line).strip() != f"{key}:":
             raise AlgebraFormatError(header_line, f"expected '{key}:'")
         rows = []
@@ -498,8 +493,8 @@ def parse_algebra(text: str) -> FiniteSemiring:
             for lab in labs:
                 if lab not in index:
                     raise AlgebraFormatError(lineno, f"unknown element label {lab!r}")
-            rows.append(tuple(index[lab] for lab in labs))
-        return tuple(rows)
+            rows.append([index[lab] for lab in labs])
+        return rows
 
     add = table(5, "add")
     mul = table(6 + n, "mul")

@@ -1,8 +1,9 @@
 """Shared test helpers: independent mini-evaluator, term generators, a
 recursive term printer and parser, the order of a reduced form's
-summands, the unreduced expansion of a term, random tables, the
-exhaustive congruence oracle, the clone closure in rounds, the listing of
-reduced forms by placement and a check for cyclic garbage.
+summands, the unreduced expansion of a term, the label-keyed lplus1,
+random tables, the exhaustive congruence oracle, the clone closure in
+rounds, the listing of reduced forms by placement and a check for cyclic
+garbage.
 
 Everything here is deliberately self-contained so that oracle-based tests do
 not exercise the code paths they are checking: the evaluator works over
@@ -208,6 +209,23 @@ def rebuild(alg: FiniteSemiring, **changes) -> FiniteSemiring:
     so that its checks run; an unknown field name is a TypeError."""
     fields = {name: getattr(alg, name) for name in ("name", "elements", "add", "mul", "zero", "one")}
     return FiniteSemiring(**{**fields, **changes})
+
+
+def lplus1_by_labels(lat: FiniteSemiring) -> tuple:
+    """lplus1(lat) as (name, elements, add, mul, zero, one) with label-keyed
+    tables and constants, taken from the rule in lplus1's docstring: a top
+    labelled 1 becomes a, the new unit 1 comes last and is neutral for *,
+    0+1 = 1+0 = 1, and every other sum involving 1 is the lattice top."""
+    assert "1" not in lat.elements or (lat.elements[lat.one] == "1" and "a" not in lat.elements)
+    labels = tuple("a" if x == "1" else x for x in lat.elements)
+    pairs = list(itertools.product(range(lat.size), repeat=2))
+    add = {(labels[x], labels[y]): labels[lat.add[x][y]] for x, y in pairs}
+    mul = {(labels[x], labels[y]): labels[lat.mul[x][y]] for x, y in pairs}
+    bottom, top = labels[lat.zero], labels[lat.one]
+    for x in labels + ("1",):
+        add[x, "1"] = add["1", x] = "1" if x == bottom else top
+        mul[x, "1"] = mul["1", x] = x
+    return f"{lat.name}+1", labels + ("1",), add, mul, bottom, "1"
 
 
 # --- random tables ------------------------------------------------------------

@@ -33,7 +33,9 @@ from misr import (
     parse_algebra,
     parse_identity,
 )
-from support import T3_ADD, T3_LABELS, T3_MUL, eval_labels, random_tables, random_term, rebuild
+from support import (
+    T3_ADD, T3_LABELS, T3_MUL, eval_labels, lplus1_by_labels, random_tables, random_term, rebuild,
+)
 
 T3 = builtin("t3")
 S3 = builtin("s3")
@@ -107,6 +109,32 @@ def test_malformed_tables_rejected():
         FiniteSemiring("bad", (), (), (), 0, 0)
     with pytest.raises(ValueError, match="one index out of range"):
         FiniteSemiring("bad", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 2)
+
+
+def test_model_keeps_no_list_of_its_caller():
+    elements, add, mul = ["0", "a"], [[0, 1], [1, 1]], [[0, 0], [0, 1]]
+    alg = FiniteSemiring("lists", elements, add, mul, 0, 1)
+    expected = FiniteSemiring("lists", ("0", "a"), ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1)
+    elements[0], add[1][1], mul[1][1] = "x", 7, 7
+    add.append([0, 0])
+    assert alg == expected and hash(alg) == hash(expected)
+    assert all(c.ok for c in check_axioms(alg).checks)
+    assert alg._sides == (alg.add, alg.mul)  # each commutative table read once
+
+
+@pytest.mark.parametrize("bad, bad_zero", [(1.0, 0.0), (True, False)])
+def test_model_entries_zero_and_one_must_be_ints(bad, bad_zero):
+    # each value passes the range check, so only its type can reject it
+    fields = {"add": ((0, 1), (1, 1)), "mul": ((0, 0), (0, 1)), "zero": 0, "one": 1}
+    changes = [
+        {"add": ((0, 1), (1, bad))},
+        {"mul": ((0, 0), (0, bad))},
+        {"zero": bad_zero},
+        {"one": bad},
+    ]
+    for change in changes:
+        with pytest.raises(TypeError, match="^table entries, zero and one must be ints$"):
+            FiniteSemiring("m", ("0", "a"), **{**fields, **change})
 
 
 # --- the translation tables of congruences and clones -------------------------
@@ -452,6 +480,9 @@ def test_boolean_lattice_shapes():
     for k in (0, 7):
         with pytest.raises(ValueError):
             boolean_lattice(k)
+    for k in (True, 2.0):  # boolean_lattice(True) was named bTrue
+        with pytest.raises(TypeError, match="k must be an int"):
+            boolean_lattice(k)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -681,6 +712,40 @@ def test_lplus1_rejects_non_distributive_lattices():
         assert not check_axioms(lat).ok("distributive-left")
         with pytest.raises(ValueError, match="distributivity fails"):
             lplus1(lat)
+
+
+def chain(n):
+    """The n-element chain 0 < p1 < ... < a."""
+    labels = ("0", *(f"p{i}" for i in range(1, n - 1)), "a")
+    less = {(labels[x], labels[y]) for x, y in itertools.combinations(range(n), 2)}
+    return lattice_from_order(f"c{n}", labels, less)
+
+
+def relabelled(alg, order):
+    """alg with its elements listed in order, a permutation of its indices."""
+    new = {x: i for i, x in enumerate(order)}
+
+    def table(t):
+        return tuple(tuple(new[t[x][y]] for y in order) for x in order)
+
+    elements = tuple(alg.elements[x] for x in order)
+    return FiniteSemiring(alg.name, elements, table(alg.add), table(alg.mul), new[alg.zero], new[alg.one])
+
+
+def test_lplus1_agrees_with_the_label_oracle():
+    lattices = [boolean_lattice(k) for k in range(1, 7)] + [TWO] + [chain(n) for n in range(2, 9)]
+    lattices += [direct_product(chain(m), chain(n)) for m, n in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4))]
+    # the same lattices with the bottom not first and the top not last
+    rng = Random(20261021)
+    for lat in (TWO, boolean_lattice(2), boolean_lattice(3), chain(5)):
+        for _ in range(4):
+            order = rng.sample(range(lat.size), lat.size)
+            while order[0] == lat.zero or order[-1] == lat.one:
+                order = rng.sample(range(lat.size), lat.size)
+            lattices.append(relabelled(lat, order))
+    for lat in lattices:
+        alg = lplus1(lat)
+        assert (alg.name, alg.elements, *label_tables(alg)) == lplus1_by_labels(lat), lat
 
 
 # The laws that make a semiring a bounded distributive lattice, checked by
