@@ -34,6 +34,8 @@ class FiniteSemiring(Record):
     def __init__(self, name, elements, add, mul, zero, one) -> None:
         # tuples, so that no caller's list can change a model after its checks
         super().__init__(name, tuple(elements), tuple(map(tuple, add)), tuple(map(tuple, mul)), zero, one)
+        if isinstance(elements, str) or any(type(word) is not str for word in (self.name, *self.elements)):
+            raise TypeError("name and labels must be strs, and elements not a str")  # not "a1" for a, 1
         n = len(self.elements)
         if n == 0:
             raise ValueError("carrier must be non-empty")

@@ -35,6 +35,8 @@ def _listing(n: int, cap: int) -> tuple[Iterator[SumOfProducts], Callable[[SumOf
     from a table of monomial texts.  Bytes sort as the texts do and take 16
     bytes less each than str: 29 MB over the 1 844 256 forms at n = 5.  The
     arity checks run at the call, before the walk starts."""
+    if type(n) is not int:  # True would count as 1, and 2.0 fails inside itertools
+        raise TypeError(f"arity must be an int, got {n!r}")
     if n < 0:
         raise ValueError("arity must be non-negative")
     if n > _LARGEST_LISTED_ARITY:
@@ -109,12 +111,19 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
 
     A function is one int whose digit p, max(1, (k-1).bit_length()) bits
     wide on a carrier of k elements, is its value at the p-th point of
-    range(k)^n.  A function f taken off the worklist is split once into a
-    unit mask per value it takes, from which each table T gives the k ints
-    whose digit p is T[f[p]][y].  f combined with g under T is the OR, over
-    the values y that g takes, of f's int for y masked to the digits where
-    g is y.
+    range(k)^n.  units splits it into a mask per value x it takes, set in
+    every bit of the digits where it is x.  Each partner g is lifted once,
+    when it is fixed or joins the partners: each table T gives the k ints
+    whose digit p is T[x][g[p]].  A function f taken off the worklist is
+    only split, and f T g is the OR, over the values x that f takes, of g's
+    int for x under f's mask for x.
+
+    >>> from misr import builtin
+    >>> clone_count(builtin("t3"), 2)
+    19
     """
+    if type(n) is not int:  # True would count as 1, and 2.0 fails inside itertools
+        raise TypeError(f"arity must be an int, got {n!r}")
     if n < 0:
         raise ValueError("arity must be non-negative")
     k = alg.size
@@ -124,36 +133,32 @@ def clone_count(alg: FiniteSemiring, n: int) -> int:
     digit = (1 << width) - 1
     every = k ** len(points)  # once all functions are known, nothing new can appear
 
-    def units(f: int) -> dict[int, int]:  # value x -> digit 1 where f is x
-        bits = [f >> j & ones for j in range(width)]
-        out = {}
-        for x in range(k):
-            u = ones
-            for j, b in enumerate(bits):
-                u &= b if x >> j & 1 else ones ^ b
-            if u:
-                out[x] = u
+    def units(f: int) -> list[tuple[int, int]]:  # (x, every bit of the digits where f is x)
+        out = [(0, ones * digit)]
+        for j in range(width):  # split each class by bit j of f's digits
+            b = (f >> j & ones) * digit
+            out = [xu for x, u in out for xu in ((x, u & ~b), (x | 1 << j, u & b)) if xu[1]]
         return out
 
     def close(start: set[int], tables, partners: set[int] | None) -> set[int]:
         """start closed under f T g for T in tables, g in partners or else in all taken so far"""
         known, todo = set(start), list(start)
-        masked = [[(y, u * digit) for y, u in units(g).items()] for g in partners or ()]
+
+        def lift(gu: list[tuple[int, int]]) -> list[list[int]]:  # per table, x -> digit p is T[x][g[p]]
+            return [[sum(row[y] * ones & u for y, u in gu) for row in rows] for rows in tables]
+
+        lifted = [at_g for g in partners or () for at_g in lift(units(g))]
         while todo and len(known) < every:
-            f = todo.pop()
-            fu = units(f)
+            fu = units(todo.pop())
             if partners is None:
-                masked.append([(y, u * digit) for y, u in fu.items()])
-            lifted = [[sum(rows[x][y] * u for x, u in fu.items()) for y in range(k)] for rows in tables]
-            # row f[p] of each table at column g[p]
-            for g in masked:
-                for by_column in lifted:
-                    h = 0
-                    for y, mask in g:
-                        h |= by_column[y] & mask
-                    if h not in known:
-                        known.add(h)
-                        todo.append(h)
+                lifted += lift(fu)
+            for at_g in lifted:
+                h = 0
+                for x, mask in fu:
+                    h |= at_g[x] & mask
+                if h not in known:
+                    known.add(h)
+                    todo.append(h)
         return known
 
     gens = {alg.zero * ones, alg.one * ones}

@@ -137,6 +137,18 @@ def test_model_entries_zero_and_one_must_be_ints(bad, bad_zero):
             FiniteSemiring("m", ("0", "a"), **{**fields, **change})
 
 
+def test_model_name_and_labels_must_be_strs():
+    # None and 1 have no split(), and a str of elements would be read as one
+    # label per character: "a1" as the carrier (a, 1)
+    tables = ((0, 1), (1, 1)), ((0, 0), (0, 1)), 0, 1
+    for name, elements in [(None, ("0", "a")), (2, ("0", "a")), ("m", ("0", 1)), ("m", (b"0", "a")), ("m", "0a")]:
+        with pytest.raises(TypeError, match="^name and labels must be strs, and elements not a str$"):
+            FiniteSemiring(name, elements, *tables)
+    with pytest.raises(TypeError, match="^name and labels must be strs"):
+        FiniteSemiring("m", "", (), (), 0, 0)  # a TypeError, not the empty-carrier ValueError
+    assert FiniteSemiring("m", ["0", "a"], *tables).elements == ("0", "a")
+
+
 # --- the translation tables of congruences and clones -------------------------
 
 def test_sides_lists_each_distinct_table_once():

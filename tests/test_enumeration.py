@@ -21,6 +21,7 @@ from misr import (
     parse,
     rep_text,
 )
+from misr.enumeration import _listing
 from random import Random
 
 from support import (
@@ -173,6 +174,9 @@ def test_clone_count_agrees_with_closure_in_rounds():
     for a, b in itertools.combinations_with_replacement(BUILTIN_NAMES, 2):
         cases += [(direct_product(builtin(a), builtin(b)), n) for n in range(2)]
     cases += [(one, n) for n in range(4)] + [(lplus1(boolean_lattice(4)), n) for n in range(2)]
+    # the two-phase closure past n = 1 on products, and at n = 3 on lplus1
+    cases += [(direct_product(builtin(a), builtin("two")), 2) for a in ("t3", "s3")]
+    cases += [(lplus1(boolean_lattice(2)), 3)]
     for alg, n in cases + seeded_cases():
         assert clone_count(alg, n) == clone_count_by_rounds(alg, n), (alg, n)
 
@@ -259,6 +263,15 @@ def test_arity_cap():
     with pytest.raises(ValueError):
         enumerate_reduced(2, cap=1)
     assert len(enumerate_reduced(1, cap=1)) == 6
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", None])
+def test_arity_must_be_an_int(n):
+    # True would pass for 1 and list or count the unary functions; 2.0 would
+    # fail deep inside itertools
+    for call in (lambda: clone_count(T3, n), lambda: enumerate_reduced(n), lambda: _listing(n, 3)):
+        with pytest.raises(TypeError, match="^arity must be an int, got "):
+            call()
 
 
 def test_three_variable_count():
