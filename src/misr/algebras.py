@@ -95,6 +95,8 @@ def eval_term(alg: FiniteSemiring, t: Term, env: Mapping[int, int]) -> int:
                 value = env[op.index]
             except KeyError:
                 raise ValueError(f"unbound variable x{op.index}") from None
+            if type(value) is not int:  # 1.0 and True pass the range check
+                raise TypeError(f"x{op.index} is bound to {value!r}, not an int")
             if not 0 <= value < alg.size:
                 raise ValueError(f"x{op.index} is bound to {value}, outside range({alg.size})")
             return value
@@ -337,19 +339,6 @@ def _lattice_problem(lat: FiniteSemiring) -> str | None:
     return None
 
 
-def _tabulate(name, carrier, labels, add, mul, zero, one) -> FiniteSemiring:
-    """The semiring on the distinct hashable values of carrier, in order,
-    labeled by labels: add and mul are tabulated from functions on values,
-    and zero and one are values."""
-    values = tuple(carrier)
-    index = {v: i for i, v in enumerate(values)}
-
-    def table(op) -> list[list[int]]:
-        return [[index[op(x, y)] for y in values] for x in values]
-
-    return FiniteSemiring(name, labels, table(add), table(mul), index[zero], index[one])
-
-
 def boolean_lattice(k: int) -> FiniteSemiring:
     """The lattice of subsets of {1..k}, 1 <= k <= 6, as a semiring:
     + is union, * is intersection, 0 is the empty set and 1 the full set.
@@ -364,18 +353,14 @@ def boolean_lattice(k: int) -> FiniteSemiring:
         raise TypeError(f"k must be an int, got {k!r}")
     if not 1 <= k <= 6:
         raise ValueError(f"k must be between 1 and 6, got {k}")
-    universe = frozenset(range(1, k + 1))
     subsets = monomials_over(k)
-
-    def label(s: frozenset[int]) -> str:
-        if not s:
-            return "0"
-        if s == universe:
-            return "a"
-        return "e" + "".join(str(i) for i in sorted(s))
-
-    labels = [label(s) for s in subsets]
-    return _tabulate(f"b{k}", subsets, labels, operator.or_, operator.and_, frozenset(), universe)
+    # subset s as the bitmask with bit i-1 set for each i in s: + is |, * is &
+    masks = [sum(1 << (i - 1) for i in s) for s in subsets]
+    index = {m: i for i, m in enumerate(masks)}
+    labels = ["0", *("e" + "".join(map(str, sorted(s))) for s in subsets[1:-1]), "a"]
+    add = [[index[x | y] for y in masks] for x in masks]
+    mul = [[index[x & y] for y in masks] for x in masks]
+    return FiniteSemiring(f"b{k}", labels, add, mul, 0, len(masks) - 1)
 
 
 def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
@@ -409,15 +394,12 @@ def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
 
 
 def direct_product(a: FiniteSemiring, b: FiniteSemiring) -> FiniteSemiring:
-    """Componentwise product; labels are "(la,lb)" pairs."""
-    pairs = list(itertools.product(range(a.size), range(b.size)))
-    labels = [f"({a.elements[i]},{b.elements[j]})" for i, j in pairs]
-
-    def componentwise(s, t):
-        return lambda p, q: (s[p[0]][q[0]], t[p[1]][q[1]])
-
-    add, mul = componentwise(a.add, b.add), componentwise(a.mul, b.mul)
-    return _tabulate(f"{a.name}x{b.name}", pairs, labels, add, mul, (a.zero, b.zero), (a.one, b.one))
+    """Componentwise product; the pair (i, j) is element i*|b|+j, labeled "(la,lb)"."""
+    m = b.size
+    labels = [f"({la},{lb})" for la in a.elements for lb in b.elements]
+    add, mul = ([[x * m + y for x in s_row for y in t_row] for s_row in s for t_row in t]
+                for s, t in ((a.add, b.add), (a.mul, b.mul)))
+    return FiniteSemiring(f"{a.name}x{b.name}", labels, add, mul, a.zero * m + b.zero, a.one * m + b.one)
 
 
 # --- the algebra file format -------------------------------------------------

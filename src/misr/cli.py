@@ -16,6 +16,7 @@ import sys
 
 from .algebras import (
     FiniteSemiring,
+    _AXIOMS,
     _format_witness,
     builtin,
     BUILTIN_NAMES,
@@ -34,9 +35,20 @@ from .normal import normalize, rep_text
 from .terms import Term, TermSyntaxError, Var, parse, term_size
 
 DEFAULT_MAX_NODES = 64
-# the most assignments `check` sweeps, such as 3**16 on t3 or 65**4 on the
-# 65-element lplus1(B_6); holds itself takes any number
+# the most assignments `check` or `axioms` sweeps, such as 3**16 on t3 or
+# 65**4 on the 65-element lplus1(B_6); holds itself takes any number
 MAX_CHECK_ASSIGNMENTS = 10**8
+# the number of variables of each law that `axioms` checks
+_AXIOM_VARIABLES = tuple(len(axiom.variable_list()) for axiom in _AXIOMS)
+
+
+def _refuse_above_limit(points: int, what: str) -> None:
+    """Raise, before any work, when holds would sweep more than MAX_CHECK_ASSIGNMENTS points."""
+    if points > MAX_CHECK_ASSIGNMENTS:
+        raise ValueError(
+            f"{what} (about 10**{math.log10(points):.1f}) assignments, "
+            f"more than the limit of {MAX_CHECK_ASSIGNMENTS}"
+        )
 
 
 def _parse_capped(text: str, max_nodes: int) -> Term:
@@ -116,11 +128,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     alg = _resolve_algebra(args.algebra)
     ident = parse_identity(args.identity)
     n, k = len(ident.variable_list()), alg.size
-    if k**n > MAX_CHECK_ASSIGNMENTS:
-        raise ValueError(
-            f"{n} variables over {k} elements make {k}**{n} (about 10**{n * math.log10(k):.1f}) "
-            f"assignments, more than the limit of {MAX_CHECK_ASSIGNMENTS}"
-        )
+    _refuse_above_limit(k**n, f"{n} variables over {k} elements make {k}**{n}")
     ok, env = holds(alg, ident)
     if ok:
         print("holds")
@@ -132,6 +140,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
     alg = _resolve_algebra(args.algebra)
+    points = sum(alg.size**n for n in _AXIOM_VARIABLES)
+    _refuse_above_limit(points, f"the {len(_AXIOMS)} laws over {alg.size} elements make {points}")
     report = check_axioms(alg)
     for check in report.checks:
         if check.ok:

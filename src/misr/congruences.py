@@ -42,7 +42,10 @@ class Partition(Record):
     __match_args__ = ("least",)
     least: tuple[int, ...]
 
-    def __init__(self, least: tuple[int, ...]) -> None:
+    def __init__(self, least: Iterable[int]) -> None:
+        least = tuple(least)  # so that no caller's list can change it after its checks
+        if any(type(m) is not int for m in least):
+            raise TypeError("least must hold ints")  # 1.0 and True pass the checks below
         if not all(0 <= m <= x and least[m] == m for x, m in enumerate(least)):
             raise ValueError("least[x] must be the least element of x's block")
         object.__setattr__(self, "least", least)

@@ -200,6 +200,16 @@ def test_eval_rejects_element_indices_outside_the_carrier():
         eval_term(T3, parse("x+y"), {1: 0, 2: -1})
 
 
+def test_eval_rejects_bindings_that_are_not_ints():
+    # 1.0 and True pass the range check: 1.0 came back as x's value, and x*x indexed a row with it
+    for value in (1.0, True, "a", None):
+        for term in ("x", "x*x"):
+            with pytest.raises(TypeError, match="x1 is bound to"):
+                eval_term(T3, parse(term), {1: value})
+    with pytest.raises(TypeError, match="x2 is bound to 0.0"):
+        eval_term(T3, parse("x+y"), {1: 0, 2: 0.0})
+
+
 def label_tables(alg):
     """alg's add and mul tables keyed by labels, and the labels of 0 and 1,
     as support.eval_labels takes them."""
@@ -521,8 +531,8 @@ def test_boolean_lattice_by_its_labels(k):
         assert sets[lat.mul[x][y]] == sets[x] & sets[y]
 
 
-# sha256 of format_algebra(lplus1(boolean_lattice(k))), computed with
-# tables that were not built through _tabulate
+# sha256 of format_algebra(lplus1(boolean_lattice(k))), pinned before the
+# constructors ever shared a table builder, and unchanged since
 LPLUS1_DIGESTS = {
     1: "b9dbf6c21434dd1a8b8b52e0c1f8c6b6a2a1c843d6bbbbe024c70e05f647b593",
     2: "3ce5226f1f13f4d1587057c981cbb86acadcbddc9e34cb11a8faef704c42203b",

@@ -227,6 +227,21 @@ def test_axioms_non_semiring_exits_one(capsys, tmp_path):
     assert "semiring: no" in out.splitlines()
 
 
+def test_axioms_refuses_too_many_assignments_before_any_work(capsys, monkeypatch):
+    # on t3 the 15 laws sweep 5 * 3**3 + 2 * 3**2 + 8 * 3 = 177 points
+    monkeypatch.setattr(misr.cli, "MAX_CHECK_ASSIGNMENTS", 177)
+    code, out, _ = run_cli(capsys, "axioms", "t3")
+    assert code == 0 and out.splitlines()[-1] == "absorptive: yes"
+    monkeypatch.setattr(misr.cli, "MAX_CHECK_ASSIGNMENTS", 176)
+    monkeypatch.setattr(misr.cli, "check_axioms", None)  # refused before it is called
+    assert run_cli(capsys, "axioms", "t3") == (
+        2,
+        "",
+        "error: the 15 laws over 3 elements make 177 (about 10**2.2) assignments, "
+        "more than the limit of 176\n",
+    )
+
+
 # --- si --------------------------------------------------------------------------
 
 def test_si_t3(capsys):

@@ -91,6 +91,20 @@ def test_partition_rejects_least_that_is_not_canonical():
     assert Partition((0, 0, 2, 0)).blocks == ((0, 1, 3), (2,))
 
 
+def test_partition_keeps_a_tuple_of_its_own():
+    least = [0, 0]
+    p = Partition(least)
+    assert p.least == (0, 0) and hash(p) == hash(Partition((0, 0)))
+    least[1] = 5  # past the validity check: the partition must not see it
+    assert p.least == (0, 0) and p.blocks == ((0, 1),)
+
+
+def test_partition_rejects_least_entries_that_are_not_ints():
+    for least in ((0, 1.0), (0.0,), (False, 0), (0, "0")):
+        with pytest.raises(TypeError, match="least must hold ints"):
+            Partition(least)
+
+
 def test_partition_render():
     p = Partition.from_blocks(3, [[0], [1, 2]])
     assert p.render(("0", "a", "1")) == "{0},{a,1}"
