@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping
 from functools import cached_property, partial, reduce
 
 from .normal import monomials_over
-from .terms import One, Record, Term, TermSyntaxError, Var, parse, postfix, run, variables
+from .terms import One, Record, Term, TermSyntaxError, Var, parse, postfix, run
 
 
 class FiniteSemiring(Record):
@@ -67,6 +67,11 @@ class FiniteSemiring(Record):
         term function is a sum of products of generators (see clone_count)."""
         laws = ("add-associative", "mul-associative", "distributive-left", "distributive-right")
         return all(holds(self, law)[0] for law in _SEMIRING_AXIOMS if law.name in laws)
+
+    @cached_property
+    def _blocks(self) -> dict[int, tuple]:
+        """By number of swept variables, the runs, constant and variable masks holds sets up."""
+        return {}
 
     @cached_property
     def _sides(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -117,7 +122,15 @@ class Identity(Record):
         super().__init__(lhs, rhs, name)
 
     def variable_list(self) -> list[int]:
-        return sorted(variables(self.lhs) | variables(self.rhs))
+        return list(self._compiled[0])
+
+    @cached_property
+    def _compiled(self) -> tuple[tuple[int, ...], tuple[int | bool, ...]]:
+        """Sorted variables vs, and both sides' postfix code: x_vs[i] is slot i, 0 and 1 the next two."""
+        code = postfix(self.lhs, self.rhs)
+        vs = sorted({op.index for op in code if isinstance(op, Var)})
+        return tuple(vs), tuple(op if type(op) is bool else vs.index(op.index) if isinstance(op, Var)
+                                else len(vs) + isinstance(op, One) for op in code)
 
 
 def parse_identity(text: str, name: str = "") -> Identity:
@@ -174,12 +187,8 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     _FIRST_BLOCK_POINTS goes alone when the later ones, of up to _BLOCK_POINTS,
     are larger; each pass computes the subterms free of the head variables once.
     """
-    code = postfix(ident.lhs, ident.rhs)
-    vs = sorted({op.index for op in code if isinstance(op, Var)})
+    vs, code = ident._compiled
     k, n = alg.size, len(vs)
-    # x_vs[i] becomes slot i, 0 slot n and 1 slot n+1; + and * stay False and True
-    code = [op if type(op) is bool else vs.index(op.index) if isinstance(op, Var)
-            else n + isinstance(op, One) for op in code]
 
     def combine(table, left: list[int], right: list[int]) -> list[int]:
         rs = [(b, mb) for b, mb in enumerate(right) if mb]
@@ -203,19 +212,22 @@ def holds(alg: FiniteSemiring, ident: Identity) -> tuple[bool, dict[int, int] | 
     every = itertools.product(range(k), repeat=n - large)
     passes = [(first, [(0,) * (n - first)]), (large, every)] if first < large else [(large, every)]
     for swept, heads in passes:
-        full = (1 << k**swept) - 1
-        # the masks of a value that is element v at every point of the block
-        constant = [[full if e == v else 0 for e in range(k)] for v in range(k)]
-        # the swept variable at position t is v on runs of k**(swept-1-t)
-        # points, repeated with period k times that
-        runs = [k ** (swept - 1 - t) for t in range(swept)]
-        values, repeat = [None] * (n - swept), 1  # by slot: the heads (set per head), swept, 0, 1
-        for r in runs:  # repeat has a 1 every k*r bits: shifts build it in linear time
-            ones = (repeat << r) - repeat
-            values.append([ones << (v * r) for v in range(k)])
-            for _ in range(k - 1):
-                repeat |= repeat << r
-        values += constant[alg.zero], constant[alg.one]
+        if swept not in alg._blocks:
+            full = (1 << k**swept) - 1
+            # the masks of a value that is element v at every point of the block
+            constant = tuple(tuple(full if e == v else 0 for e in range(k)) for v in range(k))
+            # swept variable t is v on runs of k**(swept-1-t) points, repeated with period k times that
+            runs = tuple(k ** (swept - 1 - t) for t in range(swept))
+            masks, repeat = [], 1
+            for r in runs:  # repeat has a 1 every k*r bits: shifts build it in linear time
+                ones = (repeat << r) - repeat
+                masks.append(tuple(ones << (v * r) for v in range(k)))
+                for _ in range(k - 1):
+                    repeat |= repeat << r
+            alg._blocks[swept] = runs, constant, tuple(masks)
+        runs, constant, masks = alg._blocks[swept]
+        # by slot: the heads (set per head), swept, 0, 1
+        values = [None] * (n - swept) + [*masks, constant[alg.zero], constant[alg.one]]
         residual = _fold(code, n - swept, values, add, mul)
         for head in heads:
             values[:len(head)] = [constant[v] for v in head]
@@ -374,7 +386,9 @@ def lplus1(lat: FiniteSemiring) -> FiniteSemiring:
     unit 1, which comes last.  It is neutral for *; additively, 0+1 = 1 and
     every other sum involving 1 collapses to the lattice top.  The result
     always satisfies the absorption law but (since 1+1 = top != 1) never
-    the boolean law.
+    the boolean law.  For finite L it is subdirectly irreducible iff L is
+    Boolean, with monolith {top, 1}.  The Boolean direction holds for Boolean
+    algebras of any size, so the variety is not residually small.
     """
     problem = _lattice_problem(lat)
     if problem is not None:

@@ -365,10 +365,10 @@ BLOCK_BOUNDS = [
 ]
 
 
-def assert_holds_as_reference(monkeypatch, alg, ident, expected=None):
-    """holds agrees with holds_by_labels under every pair of BLOCK_BOUNDS,
-    and with expected when given."""
-    reference = holds_by_labels(alg, ident)
+def assert_holds_as_reference(monkeypatch, alg, ident, expected=None, reference=None):
+    """holds agrees with holds_by_labels (or reference, its verdict computed
+    before) under every pair of BLOCK_BOUNDS, and with expected when given."""
+    reference = reference or holds_by_labels(alg, ident)
     assert expected is None or reference == expected
     for first, block in BLOCK_BOUNDS:
         monkeypatch.setattr(misr.algebras, "_FIRST_BLOCK_POINTS", first)
@@ -379,6 +379,9 @@ def assert_holds_as_reference(monkeypatch, alg, ident, expected=None):
 
 
 def test_holds_agrees_with_pointwise_reference(monkeypatch):
+    """Each random identity is checked on every algebra of its carrier size in
+    turn, then on each again after the others: what holds keeps on an identity
+    or an algebra for later calls may change no other call's verdict or witness."""
     rng = Random(20261018)
     algebras = [builtin(name) for name in BUILTIN_NAMES]
     algebras += [lplus1(boolean_lattice(k)) for k in (1, 2, 3)]
@@ -386,8 +389,10 @@ def test_holds_agrees_with_pointwise_reference(monkeypatch):
     # at (10, 100) the later blocks sweep 3 variables of 4 elements and 2 of
     # 7 or 10; at (3, 30) one of 20
     algebras += [random_tables(Random(size), size, c) for size in (4, 7, 10, 20) for c in (False, True)]
+    algebras += [random_tables(Random(3), 3, c) for c in (False, True)] + [lplus1(boolean_lattice(4)), chain(17)]
     verdicts = []
     for alg in algebras:
+        same_size = [other for other in algebras if other.size == alg.size]
         for _ in range(24):
             n = rng.randint(0, 6)
             while alg.size**n > 1000:
@@ -398,7 +403,10 @@ def test_holds_agrees_with_pointwise_reference(monkeypatch):
             rhs = commuted(rng, lhs)
             if rng.random() < 0.5:
                 rhs = mutated(rng, rhs, n)
-            verdicts.append(assert_holds_as_reference(monkeypatch, alg, Identity(lhs, rhs)))
+            ident = Identity(lhs, rhs)
+            references = [holds_by_labels(other, ident) for other in same_size]
+            for other, reference in zip(same_size * 2, references * 2):
+                verdicts.append(assert_holds_as_reference(monkeypatch, other, ident, reference=reference))
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
 
 
@@ -450,6 +458,22 @@ def test_holds_compares_no_variables(monkeypatch):
         for alg, ident in checks:
             holds(alg, ident)
     assert calls == []
+
+
+def test_check_axioms_walks_each_law_once(monkeypatch):
+    """An identity compiles on its first check: two reports, on two algebras,
+    walk the terms of each of the 15 laws once."""
+    algebras = T3, lplus1(boolean_lattice(2))
+    laws = tuple(Identity(law.lhs, law.rhs, law.name) for law in misr.algebras._AXIOMS)  # unused twins
+    assert len(laws) == 15
+    walks = []
+    postfix = misr.algebras.postfix
+    monkeypatch.setattr(misr.algebras, "postfix", lambda *terms: walks.append(terms) or postfix(*terms))
+    monkeypatch.setattr(misr.algebras, "_AXIOMS", laws)
+    reports = [check_axioms(alg) for alg in algebras]
+    assert walks == [(law.lhs, law.rhs) for law in laws]
+    monkeypatch.undo()
+    assert reports == [check_axioms(alg) for alg in algebras]
 
 
 # --- axiom reports -----------------------------------------------------------

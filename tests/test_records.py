@@ -24,8 +24,10 @@ from misr import (
     Var,
     ZERO,
     Zero,
+    boolean_lattice,
     builtin,
     check_axioms,
+    holds,
     parse_identity,
     principal_congruence,
 )
@@ -34,6 +36,15 @@ from misr.terms import Record
 TWO = builtin("two")
 T3 = builtin("t3")
 X, Y = Var(1), Var(2)
+
+
+def b1_and_a_law():
+    return boolean_lattice(1), parse_identity("x*(y+z) = x*y+x*z", "distributive-left")
+
+
+# an algebra and a law that holds has used, so that each keeps what holds stores on it
+USED_ALGEBRA, USED_LAW = b1_and_a_law()
+holds(USED_ALGEBRA, USED_LAW)
 
 # (value, its fields in constructor order, its repr as the dataclass form prints it)
 VALUES = [
@@ -54,6 +65,19 @@ VALUES = [
         "Identity(lhs=Add(left=Var(index=1), right=Var(index=2)),"
         " rhs=Add(left=Var(index=2), right=Var(index=1)), name='add-commutative')",
     ),
+    (
+        USED_ALGEBRA,
+        ("name", "elements", "add", "mul", "zero", "one"),
+        "FiniteSemiring(name='b1', elements=('0', 'a'), add=((0, 1), (1, 1)),"
+        " mul=((0, 0), (0, 1)), zero=0, one=1)",
+    ),
+    (
+        USED_LAW,
+        ("lhs", "rhs", "name"),
+        "Identity(lhs=Mul(left=Var(index=1), right=Add(left=Var(index=2), right=Var(index=3))),"
+        " rhs=Add(left=Mul(left=Var(index=1), right=Var(index=2)), right=Mul(left=Var(index=1),"
+        " right=Var(index=3))), name='distributive-left')",
+    ),
     (AxiomCheck("c", False, ((1, 0),)), ("name", "ok", "witness"), "AxiomCheck(name='c', ok=False, witness=((1, 0),))"),
     (
         AxiomReport("two", (AxiomCheck("c", True, None),)),
@@ -62,7 +86,7 @@ VALUES = [
     ),
     (principal_congruence(T3, 1, 2), ("least",), "Partition(least=(0, 1, 1))"),
 ]
-IDS = [type(value).__name__ for value, _, _ in VALUES]
+IDS = [type(value).__name__ + "-used" * (value in (USED_ALGEBRA, USED_LAW)) for value, _, _ in VALUES]
 
 
 def test_every_class_is_covered():
@@ -80,6 +104,15 @@ def test_pickle_copy_and_deepcopy_round_trip(value, fields, text):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+def test_what_holds_keeps_is_not_part_of_the_value():
+    """The compiled law and the algebra's block masks that holds keeps are not
+    pickled or copied: a used value pickles to the bytes of an unused twin."""
+    for used, twin in zip((USED_ALGEBRA, USED_LAW), b1_and_a_law()):
+        assert vars(used) != vars(twin) and pickle.dumps(used) == pickle.dumps(twin)
+        for copied in (copy.copy(used), copy.deepcopy(used)):
+            assert pickle.dumps(copied) == pickle.dumps(twin) and copied == twin
 
 
 @pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
